@@ -3,8 +3,8 @@
 PYTHON ?= python3
 
 .PHONY: install test test-fast coverage bench bench-full bench-sweep \
-	bench-gate examples chaos engine-chaos difftest difftest-directed \
-	trace-demo metrics-demo serve-demo docs-lint clean
+	bench-gate perfbench-counts examples chaos engine-chaos difftest \
+	difftest-directed trace-demo metrics-demo serve-demo docs-lint clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -42,6 +42,11 @@ bench-sweep:
 
 bench-gate:
 	$(PYTHON) tools/bench_gate.py
+
+# The benchmark's exact counts (interpreter, check and solver calls) must
+# be identical across runs and PYTHONHASHSEED values.
+perfbench-counts:
+	$(PYTHON) perfbench/check_counts.py
 
 chaos:
 	$(PYTHON) -m repro chaos postgraduation --seed 3 --ops 200

@@ -82,14 +82,15 @@ class Solver:
         variable count, result, model size) when a tracer is active.
 
         Raises :class:`SolverTimeout` if the budget runs out."""
-        started = time.perf_counter()
+        started, cpu_started = time.perf_counter(), time.process_time()
         try:
             model = self._check(timeout_s=timeout_s, priority=priority)
         except SolverTimeout:
             self._account(started, "timeout")
             obs.record(
                 "solver.check", "solver-call",
-                wall_s=time.perf_counter() - started, backend="smt",
+                wall_s=time.perf_counter() - started,
+                cpu_s=time.process_time() - cpu_started, backend="smt",
                 clauses=len(self.assertions), variables=len(self.domains),
                 result="timeout",
             )
@@ -98,7 +99,8 @@ class Solver:
         self._account(started, result)
         obs.record(
             "solver.check", "solver-call",
-            wall_s=time.perf_counter() - started, backend="smt",
+            wall_s=time.perf_counter() - started,
+            cpu_s=time.process_time() - cpu_started, backend="smt",
             clauses=len(self.assertions), variables=len(self.domains),
             result=result,
             model_size=len(model.assignment) if model is not None else 0,

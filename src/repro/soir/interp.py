@@ -81,10 +81,7 @@ class Interpreter:
     # ------------------------------------------------------------------
 
     def eval(self, e: E.Expr) -> object:
-        method = getattr(self, f"_eval_{type(e).__name__}", None)
-        if method is None:
-            raise InterpError(f"no evaluator for {type(e).__name__}")
-        return method(e)
+        return _EVALUATORS[type(e)](self, e)
 
     def _eval_Lit(self, e: E.Lit) -> object:
         return e.value
@@ -206,14 +203,8 @@ class Interpreter:
     def _ghost(self, model_name: str, pk: object) -> ObjVal:
         """A deterministic stand-in for a dereferenced missing object."""
         model = self.schema.model(model_name)
-        fields: dict[str, object] = {}
-        for f in model.fields:
-            if f.name == model.pk:
-                fields[f.name] = pk
-            elif f.nullable:
-                fields[f.name] = None
-            else:
-                fields[f.name] = _type_default(f.type)
+        fields = dict(model.default_row)
+        fields[model.pk] = pk
         return ObjVal(model_name, fields)
 
     def _eval_RefOf(self, e: E.RefOf) -> object:
@@ -348,10 +339,7 @@ class Interpreter:
     # ------------------------------------------------------------------
 
     def exec(self, cmd: C.Command) -> None:
-        method = getattr(self, f"_exec_{type(cmd).__name__}", None)
-        if method is None:
-            raise InterpError(f"no executor for {type(cmd).__name__}")
-        method(cmd)
+        _EXECUTORS[type(cmd)](self, cmd)
 
     def _exec_Guard(self, cmd: C.Guard) -> None:
         if not self.eval(cmd.cond):
@@ -466,16 +454,11 @@ class Interpreter:
 
     def clear_links(self, relation: str, obj: ObjVal, end: str) -> None:
         rel = self.schema.relation(relation)
-        if end == "source":
-            pk = obj.fields[self.schema.model(rel.source).pk]
-            self.state.assocs[relation] = {
-                p for p in self.state.relation(relation) if p[0] != pk
-            }
-        else:
-            pk = obj.fields[self.schema.model(rel.target).pk]
-            self.state.assocs[relation] = {
-                p for p in self.state.relation(relation) if p[1] != pk
-            }
+        side = 0 if end == "source" else 1
+        pk = obj.fields[self.schema.model((rel.source, rel.target)[side]).pk]
+        self.state.assocs[relation] = {
+            p for p in self.state.relation(relation) if p[side] != pk
+        }
 
     def _exec_Link(self, cmd: C.Link) -> None:
         rel = self.schema.relation(cmd.relation)
@@ -492,12 +475,7 @@ class Interpreter:
         pairs.add((src_pk, dst_pk))
 
     def _exec_Delink(self, cmd: C.Delink) -> None:
-        rel = self.schema.relation(cmd.relation)
-        src = self.eval(cmd.src)
-        dst = self.eval(cmd.dst)
-        src_pk = src.fields[self.schema.model(rel.source).pk]
-        dst_pk = dst.fields[self.schema.model(rel.target).pk]
-        self.state.relation(rel.name).discard((src_pk, dst_pk))
+        self.delink_objects(cmd.relation, self.eval(cmd.src), self.eval(cmd.dst))
 
     def _exec_RLink(self, cmd: C.RLink) -> None:
         rel = self.schema.relation(cmd.relation)
@@ -507,16 +485,28 @@ class Interpreter:
             self._link_one(rel, src, dst)
 
     def _exec_ClearLinks(self, cmd: C.ClearLinks) -> None:
-        rel = self.schema.relation(cmd.relation)
-        obj = self.eval(cmd.obj)
-        if cmd.end == "source":
-            pk = obj.fields[self.schema.model(rel.source).pk]
-            keep = lambda pair: pair[0] != pk  # noqa: E731
-        else:
-            pk = obj.fields[self.schema.model(rel.target).pk]
-            keep = lambda pair: pair[1] != pk  # noqa: E731
-        pairs = self.state.relation(rel.name)
-        self.state.assocs[rel.name] = {p for p in pairs if keep(p)}
+        self.clear_links(cmd.relation, self.eval(cmd.obj), cmd.end)
+
+
+class _Dispatch(dict):
+    """Node class -> handler; an unknown class is an interpreter error."""
+
+    def __init__(self, kind: str, prefix: str, module) -> None:
+        super().__init__(
+            (getattr(module, name[len(prefix):]), handler)
+            for name, handler in vars(Interpreter).items()
+            if name.startswith(prefix)
+        )
+        self.kind = kind
+
+    def __missing__(self, cls: type):
+        raise InterpError(f"no {self.kind} for {cls.__name__}")
+
+
+#: Type-keyed dispatch, built once: ``eval``/``exec`` run millions of times
+#: per sweep, so the handler lookup is one dict probe per node.
+_EVALUATORS = _Dispatch("evaluator", "_eval_", E)
+_EXECUTORS = _Dispatch("executor", "_exec_", C)
 
 
 def compare(op: Comparator, left: object, right: object) -> bool:
@@ -591,27 +581,13 @@ def apply_path(
     working = state.clone()
     interp = Interpreter(schema, working, env, mode="apply")
     try:
-        for cmd in path.commands:
-            if isinstance(cmd, C.Guard):
-                continue
+        for cmd in path.effects:
             interp.exec(cmd)
     except PathAborted:
         # Residual partiality (e.g. first() of an empty set feeding an
         # effect): the effect is inapplicable here and lands as a no-op.
         return state.clone()
     return working
-
-
-def _type_default(t) -> object:
-    from .types import BOOL, FLOAT, STRING
-
-    if t == BOOL:
-        return False
-    if t == FLOAT:
-        return 0.0
-    if t == STRING:
-        return ""
-    return 0
 
 
 def precondition_holds(

@@ -10,6 +10,7 @@ exactly the guard conditions, each interpreted at its program point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .commands import Command, Guard
 from .expr import Expr, Var
@@ -65,9 +66,10 @@ class CodePath:
         """The path conditions: every guard's condition, in program order."""
         return tuple(c.cond for c in self.commands if isinstance(c, Guard))
 
-    @property
+    @cached_property
     def effects(self) -> tuple[Command, ...]:
-        """The effectful commands (everything except guards)."""
+        """The effectful commands (everything except guards); computed
+        once per path, since replication replays it per candidate."""
         return tuple(c for c in self.commands if not isinstance(c, Guard))
 
     def is_effectful(self) -> bool:

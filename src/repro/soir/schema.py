@@ -13,8 +13,9 @@ order) to emit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .types import SoirType, INT
+from .types import BOOL, FLOAT, INT, STRING, SoirType
 
 
 class SchemaError(Exception):
@@ -110,9 +111,27 @@ class ModelSchema:
     def pk_field(self) -> FieldSchema:
         return self.field(self.pk)
 
-    @property
+    @cached_property
     def field_names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.fields)
+
+    @cached_property
+    def default_row(self) -> dict[str, object]:
+        """A row of defaults in field order: ``None`` for nullable fields,
+        the type's zero value otherwise (the pk included).  Shared: copy
+        it before writing."""
+        return {f.name: None if f.nullable else _type_default(f.type)
+                for f in self.fields}
+
+
+def _type_default(t: SoirType) -> object:
+    if t == BOOL:
+        return False
+    if t == FLOAT:
+        return 0.0
+    if t == STRING:
+        return ""
+    return 0
 
 
 @dataclass

@@ -44,18 +44,27 @@ class DBState:
         return state
 
     def clone(self) -> "DBState":
+        # Every path replay clones its input, so the copies stay in C
+        # (``map``/``zip``) rather than in per-container comprehensions.
         return DBState(
-            tables={m: {pk: dict(row) for pk, row in t.items()} for m, t in self.tables.items()},
-            assocs={r: set(pairs) for r, pairs in self.assocs.items()},
-            order={m: dict(o) for m, o in self.order.items()},
-            next_order=dict(self.next_order),
+            tables={m: dict(zip(t, map(dict.copy, t.values())))
+                    for m, t in self.tables.items()},
+            assocs=dict(zip(self.assocs, map(set.copy, self.assocs.values()))),
+            order=dict(zip(self.order, map(dict.copy, self.order.values()))),
+            next_order=self.next_order.copy(),
         )
 
     def table(self, model: str) -> dict[object, dict[str, object]]:
-        return self.tables.setdefault(model, {})
+        table = self.tables.get(model)
+        if table is None:
+            table = self.tables[model] = {}
+        return table
 
     def relation(self, name: str) -> set[tuple[object, object]]:
-        return self.assocs.setdefault(name, set())
+        pairs = self.assocs.get(name)
+        if pairs is None:
+            pairs = self.assocs[name] = set()
+        return pairs
 
     def insert_row(self, model: str, pk: object, row: dict[str, object]) -> None:
         self.table(model)[pk] = dict(row)
@@ -97,7 +106,10 @@ class DBState:
 
     def same_state(self, other: "DBState", *, with_order: bool = False) -> bool:
         # Empty tables / association sets are materialized lazily by
-        # ``table()`` / ``relation()``; normalize them away.
+        # ``table()`` / ``relation()``; normalize them away (unless the
+        # plain comparison already agrees, the common case).
+        if self.tables == other.tables and self.assocs == other.assocs:
+            return not with_order or self.order == other.order
         if {m: t for m, t in self.tables.items() if t} != {
             m: t for m, t in other.tables.items() if t
         }:

@@ -23,6 +23,7 @@ import random
 import time
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 
@@ -34,12 +35,12 @@ from ..soir.schema import Schema
 from ..soir.state import DBState
 from .restrictions import CheckResult, Counterexample, Outcome
 from .scopes import (
+    ArgSampler,
     Scope,
     StateGenerator,
     build_scope,
     collect_args,
     env_products,
-    random_envs,
 )
 
 
@@ -63,6 +64,12 @@ class CheckConfig:
     seed: int = 0x5EED
 
 
+def _env_key(env: dict) -> tuple:
+    """Content key of an argument environment (``repr`` keeps ``1``,
+    ``1.0`` and ``True`` apart)."""
+    return tuple(sorted((k, repr(v)) for k, v in env.items()))
+
+
 class PairChecker:
     """Runs both checks for one pair of effectful code paths."""
 
@@ -84,12 +91,25 @@ class PairChecker:
         self.args_p = collect_args(p)
         self.args_q = collect_args(q)
         self.generator = StateGenerator(self.scope)
+        self.sampler = ArgSampler(self.args_p, self.args_q, self.scope,
+                                  unique_ids_distinct=self.config.unique_ids)
 
     # ------------------------------------------------------------------
+    # The candidate stream.  Both checks walk it in full, so everything
+    # it reads per candidate is resolved once per pair here; the stream
+    # itself is regenerated for each check, not buffered (a buffered
+    # stream raised peak RSS by about 15%).
 
-    def _candidates(self) -> Iterator[tuple[DBState, dict, dict]]:
-        """Deterministic candidate stream: canonical states × exhaustive
-        argument products first, then seeded random sampling."""
+    @cached_property
+    def canonical_states(self) -> list[DBState]:
+        """The scope's canonical suite, shared by both checks and the
+        feasibility states (consumers never mutate a candidate state)."""
+        return self.generator.canonical_states()
+
+    @cached_property
+    def _env_plan(self) -> list[tuple[dict, dict, int, int]]:
+        """The exhaustive argument products, each env with its memo key:
+        equal-content envs share one small int."""
         cfg = self.config
         envs = env_products(
             self.args_p,
@@ -98,17 +118,31 @@ class PairChecker:
             unique_ids_distinct=cfg.unique_ids,
             cap=cfg.env_product_cap,
         )
-        produced = 0
-        if envs is not None:
-            # Exhaustive over canonical states × argument products.
-            for state in self.generator.canonical_states():
-                for env_p, env_q in envs:
-                    yield state, env_p, env_q
-                    produced += 1
-                    if produced >= cfg.max_exhaustive:
-                        break
-                if produced >= cfg.max_exhaustive:
-                    break
+        interned: dict[tuple, int] = {}
+
+        def key(env: dict) -> int:
+            return interned.setdefault(_env_key(env), len(interned))
+
+        return [(env_p, env_q, key(env_p), key(env_q))
+                for env_p, env_q in envs or ()]
+
+    def _exhaustive(self) -> Iterator[tuple[DBState, list]]:
+        """Canonical states x argument products, state-major: each state
+        with its slice of ``_env_plan``, ``max_exhaustive`` in all."""
+        if not self._env_plan:
+            return
+        budget = max(1, self.config.max_exhaustive)
+        for state in self.canonical_states:
+            chunk = self._env_plan[:budget]
+            yield state, chunk
+            budget -= len(chunk)
+            if budget <= 0:
+                return
+
+    def _random(self) -> Iterator[tuple[DBState, dict, dict]]:
+        """Seeded random sampling: ``max_samples`` draws of a state and
+        both sides' arguments."""
+        cfg = self.config
         # The per-pair stream must not depend on the process: built-in
         # ``hash()`` of strings is randomized per interpreter (PYTHONHASHSEED),
         # which made verdicts differ between processes — fatal for the
@@ -116,21 +150,52 @@ class PairChecker:
         # solve identically everywhere.
         pair_tag = zlib.crc32(f"{self.p.name}\x00{self.q.name}".encode())
         rng = random.Random(cfg.seed ^ pair_tag)
-        produced = 0
-        while produced < cfg.max_samples:
+        for _ in range(cfg.max_samples):
             state = self.generator.random_state(rng)
             if state is None:
-                produced += 1
                 continue
-            env_p, env_q = random_envs(
-                self.args_p,
-                self.args_q,
-                self.scope,
-                rng,
-                unique_ids_distinct=cfg.unique_ids,
-            )
+            env_p, env_q = self.sampler.draw(rng)
             yield state, env_p, env_q
-            produced += 1
+
+    def _candidates(self) -> Iterator[tuple[DBState, dict, dict]]:
+        """Deterministic candidate stream: canonical states × exhaustive
+        argument products first, then seeded random sampling."""
+        for state, chunk in self._exhaustive():
+            for env_p, env_q, _, _ in chunk:
+                yield state, env_p, env_q
+        yield from self._random()
+
+    def _first_level(self, run) -> Iterator[tuple]:
+        """``_candidates`` with each side's own result of ``run``
+        (``apply_path`` or ``run_path``) from the candidate state:
+        ``(state, env_p, env_q, r_p, r_q)``.
+
+        A side's result depends on its env alone, so in the state-major
+        exhaustive phase it is memoized per env for the current state —
+        cutting the interpreter work for a full sweep roughly in half.
+        Random candidates each carry a fresh state: nothing is memoized,
+        except that a self-pair drawing equal envs runs once."""
+        p, q, schema = self.p, self.q, self.schema
+        memo_p: dict[int, object] = {}
+        memo_q = memo_p if p is q else {}
+        for state, chunk in self._exhaustive():
+            memo_p.clear()
+            memo_q.clear()
+            for env_p, env_q, key_p, key_q in chunk:
+                r_p = memo_p.get(key_p)
+                if r_p is None:
+                    r_p = memo_p[key_p] = run(p, state, env_p, schema)
+                r_q = memo_q.get(key_q)
+                if r_q is None:
+                    r_q = memo_q[key_q] = run(q, state, env_q, schema)
+                yield state, env_p, env_q, r_p, r_q
+        for state, env_p, env_q in self._random():
+            r_p = run(p, state, env_p, schema)
+            if p is q and env_p == env_q and _env_key(env_p) == _env_key(env_q):
+                r_q = r_p
+            else:
+                r_q = run(q, state, env_q, schema)
+            yield state, env_p, env_q, r_p, r_q
 
     # ------------------------------------------------------------------
 
@@ -142,7 +207,7 @@ class PairChecker:
         this includes states where the fresh-ID pool values already exist
         as rows (an ID that is fresh for one replica's insert may have
         long existed at another operation's originating site)."""
-        states = list(self.generator.canonical_states())
+        states = list(self.canonical_states)
         extended_ids = {
             m: pks + self.scope.fresh_ids.get(m, [])
             for m, pks in self.scope.ids.items()
@@ -170,7 +235,7 @@ class PairChecker:
 
     def _feasible(self, path: CodePath, env: dict, cache: dict) -> bool:
         """Whether the argument vector can be *generated* at all."""
-        key = (id(path), tuple(sorted((k, repr(v)) for k, v in env.items())))
+        key = (id(path), _env_key(env))
         cached = cache.get(key)
         if cached is not None:
             return cached
@@ -196,39 +261,13 @@ class PairChecker:
         examined (surfaced on the ``solver-call`` trace span).
         """
         feasible_cache: dict = {}
-        # The candidate stream is state-major over a product
-        # state x env_p x env_q: the first-level application of each side
-        # depends on only one env, so it is memoized per env for the
-        # current state (the cache resets when the state changes) —
-        # cutting the interpreter work for a full sweep roughly in half.
-        first_level: dict = {}
-        current_state = None
         candidates = 0
-
-        def applied(path, state, env) -> object:
-            key = (
-                id(path),
-                tuple(sorted((k, repr(v)) for k, v in env.items())),
-            )
-            cached = first_level.get(key)
-            if cached is None:
-                cached = apply_path(path, state, env, self.schema)
-                first_level[key] = cached
-            return cached
-
-        for state, env_p, env_q in self._candidates():
-            if state is not current_state:
-                first_level.clear()
-                current_state = state
+        for state, env_p, env_q, a_p, a_q in self._first_level(apply_path):
             if time.perf_counter() > deadline:
                 return "timeout", {"candidates": candidates}
             candidates += 1
-            s_pq = apply_path(
-                self.q, applied(self.p, state, env_p), env_q, self.schema
-            )
-            s_qp = apply_path(
-                self.p, applied(self.q, state, env_q), env_p, self.schema
-            )
+            s_pq = apply_path(self.q, a_p, env_q, self.schema)
+            s_qp = apply_path(self.p, a_q, env_p, self.schema)
             if s_pq.same_state(s_qp):
                 continue
             # Divergence found — confirm both effects are generatable.
@@ -255,12 +294,13 @@ class PairChecker:
         state ``S`` in the two possible orders, with replication
         semantics.  A divergence of the final states is a witness.
         """
-        start = time.perf_counter()
+        start, cpu_start = time.perf_counter(), time.process_time()
         status, info = self.search_commutativity(start + self.config.timeout_s)
         elapsed = time.perf_counter() - start
         obs.record(
             f"enum search {self.p.name} x {self.q.name}", "solver-call",
-            wall_s=elapsed, backend="enum", check="commutativity",
+            wall_s=elapsed, cpu_s=time.process_time() - cpu_start,
+            backend="enum", check="commutativity",
             candidates=info["candidates"], result=status,
         )
         _metric_inc("noctua_solver_calls_total", backend="enum", result=status)
@@ -293,30 +333,11 @@ class PairChecker:
         (``after`` — the state on which the other precondition now fails)
         and ``direction`` (``"Q invalidates P"`` / ``"P invalidates Q"``).
         """
-        generated: dict = {}
-        current_state = None
         candidates = 0
-
-        def gen(path, state, env):
-            key = (
-                id(path),
-                tuple(sorted((k, repr(v)) for k, v in env.items())),
-            )
-            cached = generated.get(key)
-            if cached is None:
-                cached = run_path(path, state, env, self.schema)
-                generated[key] = cached
-            return cached
-
-        for state, env_p, env_q in self._candidates():
-            if state is not current_state:
-                generated.clear()
-                current_state = state
+        for state, env_p, env_q, out_p, out_q in self._first_level(run_path):
             if time.perf_counter() > deadline:
                 return "timeout", {"candidates": candidates}
             candidates += 1
-            out_p = gen(self.p, state, env_p)
-            out_q = gen(self.q, state, env_q)
             if not (out_p.committed and out_q.committed):
                 continue
             if not run_path(self.p, out_q.state, env_p, self.schema).committed:
@@ -347,12 +368,13 @@ class PairChecker:
         the common ancestor state of the concurrent execution) but ``g_P``
         no longer holds once ``Q``'s effect lands.
         """
-        start = time.perf_counter()
+        start, cpu_start = time.perf_counter(), time.process_time()
         status, info = self.search_semantic(start + self.config.timeout_s)
         elapsed = time.perf_counter() - start
         obs.record(
             f"enum search {self.p.name} x {self.q.name}", "solver-call",
-            wall_s=elapsed, backend="enum", check="semantic",
+            wall_s=elapsed, cpu_s=time.process_time() - cpu_start,
+            backend="enum", check="semantic",
             candidates=info["candidates"], result=status,
         )
         _metric_inc("noctua_solver_calls_total", backend="enum", result=status)

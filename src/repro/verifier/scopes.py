@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..soir import expr as E
 from ..soir.path import Argument, CodePath
@@ -516,11 +517,17 @@ class StateGenerator:
                 (s, t) for s, t in pairs if s in sources and t in targets
             }
 
+    @cached_property
+    def _unique_groups(self) -> list[tuple[str, tuple]]:
+        """``(model, unique_together)`` of every constrained model, sorted."""
+        models = (self.schema.model(m) for m in sorted(self.scope.models))
+        return [(m.name, m.unique_together) for m in models
+                if m.unique_together]
+
     def _fix_unique_together(self, state: DBState) -> None:
         """Drop rows violating unique_together in generated states."""
-        for mname in sorted(self.scope.models):
-            model = self.schema.model(mname)
-            for group in model.unique_together:
+        for mname, groups in self._unique_groups:
+            for group in groups:
                 seen: set[tuple] = set()
                 for pk, row in list(state.table(mname).items()):
                     key = tuple(row.get(f) for f in group)
@@ -529,35 +536,54 @@ class StateGenerator:
                     else:
                         seen.add(key)
 
-    def random_state(self, rng: random.Random) -> DBState | None:
-        """One sampled well-formed state, or None if sampling failed."""
-        state = self._empty()
+    @cached_property
+    def _sampling_plan(self) -> tuple[list, list]:
+        """What ``random_state`` reads on every draw, resolved once per
+        generator: per model (sorted) its name, pk field, candidate pks
+        and ``(field, domain, unique)`` for every other field; per
+        relation (sorted) its name and schema."""
+        models = []
         for mname in sorted(self.scope.models):
             model = self.schema.model(mname)
-            all_pks = self.scope.ids[mname]
+            fields = [
+                (f.name, self.scope.field_domains[(mname, f.name)], f.unique)
+                for f in model.fields if f.name != model.pk
+            ]
+            models.append((mname, model.pk, self.scope.ids[mname], fields))
+        relations = [(rname, self.schema.relation(rname))
+                     for rname in sorted(self.scope.relations)]
+        return models, relations
+
+    def random_state(self, rng: random.Random) -> DBState | None:
+        """One sampled well-formed state, or None if sampling failed.
+
+        The ``rng`` draws — which, how many, in which order — are part of
+        the verdict contract: the candidate stream, and so every verdict,
+        is a function of them."""
+        models, relations = self._sampling_plan
+        state = self._empty()
+        for mname, pk_field, all_pks, fields in models:
             nrows = rng.randint(0, len(all_pks))
-            pks = all_pks[:nrows]
+            table, order = state.tables[mname], state.order[mname]
             used_unique: dict[str, set] = {}
-            for pk in pks:
-                row = {model.pk: pk}
-                for f in model.fields:
-                    if f.name == model.pk:
-                        continue
-                    domain = self.scope.field_domains[(mname, f.name)]
+            for rank, pk in enumerate(all_pks[:nrows]):
+                row = {pk_field: pk}
+                for fname, domain, unique in fields:
                     value = rng.choice(domain)
-                    if f.unique:
-                        taken = used_unique.setdefault(f.name, set())
+                    if unique:
+                        taken = used_unique.setdefault(fname, set())
                         free = [v for v in domain if v not in taken]
                         if not free:
                             value = _synthesize_unique(domain, len(taken))
                         else:
                             value = rng.choice(free)
                         taken.add(value)
-                    row[f.name] = value
-                state.insert_row(mname, pk, row)
+                    row[fname] = value
+                table[pk] = row
+                order[pk] = rank
+            state.next_order[mname] = nrows
         self._fix_unique_together(state)
-        for rname in sorted(self.scope.relations):
-            rel = self.schema.relation(rname)
+        for rname, rel in relations:
             sources = list(state.table(rel.source))
             targets = list(state.table(rel.target))
             pairs = state.relation(rname)
@@ -578,7 +604,7 @@ class StateGenerator:
         self._prune_dangling(state)
         # Occasionally shuffle insertion order so order-sensitive reads vary.
         if rng.random() < 0.5:
-            for mname in sorted(self.scope.models):
+            for mname, _, _, _ in models:
                 order = state.order.get(mname, {})
                 pks = list(order)
                 rng.shuffle(pks)
@@ -698,43 +724,58 @@ def env_products(
     return out
 
 
-def random_envs(
-    args_p: list[Argument],
-    args_q: list[Argument],
-    scope: Scope,
-    rng: random.Random,
-    *,
-    unique_ids_distinct: bool,
-) -> tuple[dict, dict]:
-    env_p: dict[str, object] = {}
-    env_q: dict[str, object] = {}
-    fresh_used: list = []
-    used_by_type: dict[SoirType, list] = {}
+class ArgSampler:
+    """Seeded argument draws for one pair of paths.
 
-    def assign(env: dict, arg: Argument) -> None:
-        if arg.unique_id:
-            pool = fresh_pool_for(arg.type)
-            if unique_ids_distinct:
-                pool = [v for v in pool if v not in fresh_used] or pool
+    Each argument's domain, and the type slot its collision bias reuses
+    values from, is resolved once here; :meth:`draw` then only draws."""
+
+    def __init__(
+        self,
+        args_p: list[Argument],
+        args_q: list[Argument],
+        scope: Scope,
+        *,
+        unique_ids_distinct: bool,
+    ):
+        self.unique_ids_distinct = unique_ids_distinct
+        slots: dict[SoirType, int] = {}
+        #: per argument, p's then q's: (side, name, fresh?, domain, slot)
+        self.plan: list[tuple[int, str, bool, list, int]] = []
+        for side, args in enumerate((args_p, args_q)):
+            for arg in args:
+                if arg.unique_id:
+                    pool = fresh_pool_for(arg.type)
+                    domain = pool if unique_ids_distinct else pool[:2]
+                else:
+                    domain = arg_domain(arg, scope)
+                slot = slots.setdefault(arg.type, len(slots))
+                self.plan.append((side, arg.name, arg.unique_id, domain, slot))
+        self.slots = len(slots)
+
+    def draw(self, rng: random.Random) -> tuple[dict, dict]:
+        """One assignment per side (the ``rng`` draws are part of the
+        verdict contract, see :meth:`StateGenerator.random_state`)."""
+        envs: tuple[dict, dict] = ({}, {})
+        fresh_used: list = []
+        used_by_slot: list[list] = [[] for _ in range(self.slots)]
+        for side, name, fresh, domain, slot in self.plan:
+            if fresh:
+                pool = domain
+                if self.unique_ids_distinct:
+                    pool = [v for v in pool if v not in fresh_used] or pool
+                value = rng.choice(pool)
+                fresh_used.append(value)
             else:
-                pool = pool[:2]
-            value = rng.choice(pool)
-            fresh_used.append(value)
-            env[arg.name] = value
-            return
-        # Collision bias: conflicts almost always require two arguments to
-        # name the same object/value, so reuse a previously drawn value of
-        # the same type half of the time.
-        used = used_by_type.setdefault(arg.type, [])
-        if used and rng.random() < 0.5:
-            value = rng.choice(used)
-        else:
-            value = rng.choice(arg_domain(arg, scope))
-        used.append(value)
-        env[arg.name] = value
+                # Collision bias: conflicts almost always require two
+                # arguments to name the same object/value, so reuse a
+                # previously drawn value of the same type half of the time.
+                used = used_by_slot[slot]
+                if used and rng.random() < 0.5:
+                    value = rng.choice(used)
+                else:
+                    value = rng.choice(domain)
+                used.append(value)
+            envs[side][name] = value
+        return envs
 
-    for arg in args_p:
-        assign(env_p, arg)
-    for arg in args_q:
-        assign(env_q, arg)
-    return env_p, env_q

@@ -20,10 +20,10 @@ from repro.soir.interp import apply_path, run_path
 from repro.soir.types import STRING
 from repro.verifier import CheckConfig, verify_pair
 from repro.verifier.scopes import (
+    ArgSampler,
     StateGenerator,
     build_scope,
     collect_args,
-    random_envs,
 )
 from repro.web import Application, Client, HttpResponse, path
 
@@ -33,15 +33,14 @@ def converges(p, q, schema, *, rounds: int = 120, seed: int = 3) -> bool:
     state and apply them in both orders at two 'replicas'."""
     scope = build_scope(schema, [p, q])
     generator = StateGenerator(scope)
+    sampler = ArgSampler(collect_args(p), collect_args(q), scope,
+                         unique_ids_distinct=True)
     rng = random.Random(seed)
     for _ in range(rounds):
         state = generator.random_state(rng)
         if state is None:
             continue
-        env_p, env_q = random_envs(
-            collect_args(p), collect_args(q), scope, rng,
-            unique_ids_distinct=True,
-        )
+        env_p, env_q = sampler.draw(rng)
         replica_a = apply_path(q, apply_path(p, state, env_p, schema),
                                env_q, schema)
         replica_b = apply_path(p, apply_path(q, state, env_q, schema),

@@ -238,6 +238,13 @@ class TestPipelineTracing:
             for verdict in verdicts
         ]
 
+    def test_enum_solver_calls_report_cpu(self):
+        tracer, _ = traced_run(jobs=1)
+        calls = [s for root in tracer.roots for s in root.walk()
+                 if s.kind == "solver-call" and s.attrs["backend"] == "enum"]
+        assert len(calls) == 14  # 7 solved pairs x 2 checks
+        assert all(s.cpu_s > 0 for s in calls)
+
     def test_serial_and_parallel_traces_equivalent(self):
         serial, report_s = traced_run(jobs=1)
         parallel, report_p = traced_run(jobs=2)

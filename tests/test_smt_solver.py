@@ -115,6 +115,20 @@ class TestSolver:
         s.declare("x", [0, 1, 2])
         assert s.check() is None
 
+    def test_solver_call_span_reports_cpu(self):
+        from repro import obs
+
+        s = Solver()
+        x = T.var("x", T.INT)
+        s.add(T.eq(T.add(x, T.const(1)), T.const(3)))
+        s.declare("x", [0, 1, 2, 3])
+        tracer = obs.Tracer()
+        with obs.activate(tracer):
+            s.check()
+        [span] = tracer.roots
+        assert span.kind == "solver-call"
+        assert span.cpu_s > 0
+
     def test_multi_var_constraint_propagation(self):
         s = Solver()
         xs = [T.var(f"x{i}", T.INT) for i in range(8)]

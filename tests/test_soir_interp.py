@@ -1,5 +1,7 @@
 """Tests of the SOIR reference interpreter against the blog schema."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.soir import (
@@ -12,7 +14,15 @@ from repro.soir import (
     run_path,
     precondition_holds,
 )
-from repro.soir.interp import Interpreter, compare, PathAborted
+from repro.soir.interp import (
+    _EVALUATORS,
+    _EXECUTORS,
+    Interpreter,
+    InterpError,
+    PathAborted,
+    apply_path,
+    compare,
+)
 from repro.soir.types import (
     INT,
     STRING,
@@ -315,6 +325,28 @@ class TestCommands:
         assert {p for p in out.state.assocs["Article.author"] if p[1] == "john"} == set()
         assert (3, "mary") in out.state.assocs["Article.author"]
 
+    def test_clearlinks_source_end(self, schema, state):
+        art = E.Deref(E.intlit(1), "Article")
+        path = CodePath("t", (), (C.ClearLinks("Article.author", art, "source"),))
+        out = run_path(path, state, {}, schema)
+        assert {p for p in out.state.assocs["Article.author"] if p[0] == 1} == set()
+        assert (2, "john") in out.state.assocs["Article.author"]
+
+    def test_apply_mode_ghost_keeps_field_order(self, schema, state):
+        # Replication semantics: a missing object dereferences to a ghost
+        # of type defaults, and a write through it lands as a full row.
+        ghost = E.Deref(E.intlit(7), "Article")
+        path = CodePath("t", (), (
+            C.Update(E.Singleton(E.SetField("title", E.strlit("T"), ghost))),
+        ))
+        row = apply_path(path, state, {}, schema).tables["Article"][7]
+        assert list(row.items()) == [
+            ("id", 7), ("url", ""), ("title", "T"), ("content", ""),
+            ("created", 0),
+        ]
+        assert list(schema.model("Article").default_row.values()) == [
+            0, "", "", "", 0]
+
     def test_precondition_helper(self, schema, state):
         ok = CodePath("t", (), (C.Guard(E.Exists("User", E.strlit("john"))),))
         bad = CodePath("t", (), (C.Guard(E.Exists("User", E.strlit("ghost"))),))
@@ -339,3 +371,39 @@ class TestStateEquality:
         other = state.clone()
         other.assocs["Article.author"].discard((1, "john"))
         assert not state.same_state(other)
+
+
+def _concrete_nodes(base: type, module) -> set[type]:
+    """Every subclass of ``base`` defined in ``module``."""
+    found, stack = set(), [base]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if sub.__module__ == module.__name__:
+                found.add(sub)
+    return found
+
+
+class TestDispatch:
+    def test_every_expression_class_has_an_evaluator(self):
+        assert _concrete_nodes(E.Expr, E) == set(_EVALUATORS)
+
+    def test_every_command_class_has_an_executor(self):
+        assert _concrete_nodes(C.Command, C) == set(_EXECUTORS)
+
+    def test_unknown_nodes_raise_interp_error(self, schema, state):
+        @dataclass(frozen=True)
+        class Mystery(E.Expr):
+            pass
+
+        @dataclass(frozen=True)
+        class Shrug(C.Command):
+            pass
+
+        with pytest.raises(InterpError, match="no evaluator for Mystery"):
+            interp(schema, state).eval(Mystery())
+        with pytest.raises(InterpError, match="no executor for Shrug"):
+            interp(schema, state).exec(Shrug())
+        with pytest.raises(InterpError, match="no evaluator for Mystery"):
+            run_path(CodePath("t", (), (C.Guard(Mystery()),)), state, {},
+                     schema)
