@@ -54,6 +54,7 @@ chaos:
 
 engine-chaos:
 	$(PYTHON) -m repro engine-chaos --seeds 5 --jobs 2
+	$(PYTHON) -m repro engine-chaos --seeds 10 --jobs 1
 
 trace-demo:
 	$(PYTHON) -m repro trace courseware --quick --jobs 2 \

@@ -191,10 +191,30 @@ def incremental_reverify(smoke: bool, repeat: int = 3) -> dict:
     }
 
 
+def _unreduced_sweep(analysis, config):
+    """The reference sweep: ``verify_pair`` on every ``i <= j`` pair —
+    fast layers only, no rw-pruning, no class sharing, no cache.
+    Returns the report and the solver-call / pruned counts."""
+    from repro.verifier import classify_pair, verify_pair
+    from repro.verifier.restrictions import VerificationReport
+
+    paths = analysis.effectful_paths
+    report = VerificationReport(analysis.app_name)
+    pruned = 0
+    for i, p in enumerate(paths):
+        for q in paths[i:]:
+            if classify_pair(p, q, analysis.schema, config) is not None:
+                pruned += 1
+            report.verdicts.append(
+                verify_pair(p, q, analysis.schema, config))
+    return report, len(report.verdicts) - pruned, pruned
+
+
 def reduction_ab(name: str, smoke: bool, repeat: int = 3) -> dict:
-    """A-B the pre-solve reduction pipeline on one app: cold sweep with
-    reduction on vs off (no cache), asserting byte-identical restriction
-    sets — the headline solver-call saving and its wall-clock effect."""
+    """A-B the pre-solve reduction pipeline on one app: the cold sweep
+    (no cache) vs the unreduced ``verify_pair`` loop, asserting
+    byte-identical restriction sets — the headline solver-call saving
+    and its wall-clock effect."""
     from repro.analyzer import analyze_application
     from repro.verifier import verify_application
 
@@ -202,24 +222,26 @@ def reduction_ab(name: str, smoke: bool, repeat: int = 3) -> dict:
     config = _config(smoke)
     out: dict = {"app": name}
     sets = {}
-    for key, reduce_on in (("reduced", True), ("unreduced", False)):
+    for key in ("reduced", "unreduced"):
         best = None
         for _ in range(max(1, repeat)):
             started = time.perf_counter()
-            report = verify_application(analysis, config, use_cache=False,
-                                        jobs=1, reduce=reduce_on)
+            if key == "reduced":
+                report = verify_application(analysis, config,
+                                            use_cache=False, jobs=1)
+                metrics = report.metrics
+                counts = {k: metrics[k] for k in (
+                    "solver_calls", "class_count", "shared", "pruned")}
+            else:
+                report, solver_calls, pruned = _unreduced_sweep(
+                    analysis, config)
+                counts = {"solver_calls": solver_calls, "class_count": 0,
+                          "shared": 0, "pruned": pruned}
             wall = time.perf_counter() - started
             if best is None or wall < best[1]:
-                best = (report, wall)
-        report, wall = best
-        metrics = report.metrics
-        out[key] = {
-            "wall_s": round(wall, 4),
-            "solver_calls": metrics["solver_calls"],
-            "class_count": metrics["class_count"],
-            "shared": metrics["shared"],
-            "pruned": metrics["pruned"],
-        }
+                best = (report, wall, counts)
+        report, wall, counts = best
+        out[key] = {"wall_s": round(wall, 4), **counts}
         sets[key] = sorted(
             sorted(pair) for pair in report.restriction_pairs()
         )

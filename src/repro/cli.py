@@ -6,8 +6,7 @@ Subcommands:
 * ``noctua analyze <app> [--paths]`` — run the analyzer, print the
   Table-4 statistics (optionally dumping every SOIR code path);
 * ``noctua verify <app> [--quick] [--engine enum|smt|portfolio]
-  [--reduce/--no-reduce] [--jobs N] [--cache/--no-cache]
-  [--cache-dir DIR]`` — analyze + verify through the scheduling engine
+  [--jobs N] [--cache/--no-cache] [--cache-dir DIR]`` — analyze + verify through the scheduling engine
   (pre-solve reduction + parallel pair sweep + persistent verdict
   cache), print the Table-6 row and the restriction set;
 * ``noctua trace <app> [--quick] [--jobs N] [--out FILE.jsonl]
@@ -156,7 +155,7 @@ def cmd_verify(args) -> int:
     report = verify_application(
         result, config, engine=args.engine, jobs=args.jobs,
         use_cache=args.cache, cache_dir=args.cache_dir,
-        pair_deadline_s=args.deadline, reduce=args.reduce,
+        pair_deadline_s=args.deadline,
     )
     summary = report.summary()
     metrics = report.metrics
@@ -174,10 +173,9 @@ def cmd_verify(args) -> int:
     print(f"engine        : {mode}{workers}")
     print(f"solver calls  : {metrics.get('solver_calls', 0)} "
           f"(pruned {metrics.get('pruned', 0)})")
-    if args.reduce:
-        print(f"reduction     : {metrics.get('class_count', 0)} classes, "
-              f"{metrics.get('shared', 0)} shared, "
-              f"{metrics.get('pruned_rw_disjoint', 0)} rw-disjoint pruned")
+    print(f"reduction     : {metrics.get('class_count', 0)} classes, "
+          f"{metrics.get('shared', 0)} shared, "
+          f"{metrics.get('pruned_rw_disjoint', 0)} rw-disjoint pruned")
     wins = metrics.get("portfolio_wins") or {}
     if wins:
         won = ", ".join(f"{backend}={n}" for backend, n in sorted(wins.items()))
@@ -578,7 +576,6 @@ def cmd_serve(args) -> int:
     service = VerificationService(
         specs, config, engine=args.engine, jobs=args.jobs,
         cache_dir=args.cache_dir, poll_interval_s=args.poll_interval,
-        reduce=args.reduce,
     )
 
     def print_stats(stats) -> None:
@@ -634,8 +631,7 @@ def cmd_cache(args) -> int:
         for name in args.prune:
             analysis = analyze_application(_build(name))
             live = live_pair_fingerprints(analysis, config,
-                                          engine=args.engine,
-                                          reduce=args.reduce)
+                                          engine=args.engine)
             cache = ResultCache(root, analysis.app_name)
             before = len(cache)
             removed = cache.prune(live)
@@ -689,12 +685,6 @@ def main(argv: list[str] | None = None) -> int:
                           help="solver backend; 'portfolio' races enum "
                                "and smt per pair and takes the first "
                                "definitive answer")
-    p_verify.add_argument("--reduce", action=argparse.BooleanOptionalAction,
-                          default=True,
-                          help="pre-solve reduction: signature-class "
-                               "verdict sharing and read/write "
-                               "disjointness pruning (--no-reduce "
-                               "solves every pair individually)")
     p_verify.add_argument("--jobs", type=int, default=1, metavar="N",
                           help="solve pairs on N worker processes "
                                "(default: 1, serial)")
@@ -881,10 +871,6 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="worker processes per re-verification "
                               "sweep (default: 1)")
-    p_serve.add_argument("--reduce", action=argparse.BooleanOptionalAction,
-                         default=True,
-                         help="pre-solve reduction (class sharing + "
-                              "rw-disjointness pruning) in daemon sweeps")
     p_serve.add_argument("--engine", default="enum",
                          choices=("enum", "smt", "portfolio"),
                          help="verification backend (default: enum)")
@@ -909,11 +895,6 @@ def main(argv: list[str] | None = None) -> int:
     p_cache.add_argument("--prune", nargs="+", default=None, metavar="APP",
                          help="drop entries not referenced by these "
                               "apps' current sources")
-    p_cache.add_argument("--reduce", action=argparse.BooleanOptionalAction,
-                         default=True,
-                         help="compute the live-fingerprint set with the "
-                              "reduction planner (match sweeps run with "
-                              "reduction on)")
     p_cache.add_argument("--engine", default="enum",
                          choices=("enum", "smt", "portfolio"),
                          help="backend whose fingerprints --prune keeps "

@@ -4,19 +4,23 @@ PR 1's chaos layer asks whether the *georep runtime* survives a hostile
 environment; this module asks the same of the *engine*: does a sweep
 containing a crashing worker, a wedged solver, a dying pool or a corrupt
 cache file still terminate within its deadline budget and produce a
-report that is — poisoned pairs aside — byte-identical to a clean serial
-sweep?  Following Silhouette's targeted failure plans
+report that is — poisoned signature classes aside — byte-identical to a
+clean serial sweep?  Following Silhouette's targeted failure plans
 (``/root/related/iaoing__Silhouette/``), faults are *enumerated and
 seeded*, not random at runtime: an :class:`EngineChaosPlan` names exact
 pairs and fault modes, so every run is reproducible from its seed.
 
-Fault modes (``apply_chaos`` is consulted by workers and by the serial
-path right before solving):
+Faults are planned on a sweep's solver-bound pairs — the plan's
+signature-class representatives — so a poisoned representative poisons
+its whole class: its shared members degrade to ``unknown`` with it.
 
-* ``crash`` — the worker ``os._exit``\\ s (serial path: raises
+Fault modes (``apply_chaos`` is consulted by both lane kinds right
+before solving):
+
+* ``crash`` — the worker ``os._exit``\\ s (in-process lane: raises
   :class:`~repro.engine.failures.WorkerCrash`) on **every** attempt;
 * ``hang`` — sleeps past the pair deadline, forcing the parent watchdog
-  to kill the worker (serial path: the ``SIGALRM`` deadline fires);
+  to kill the worker (in-process lane: the ``SIGALRM`` deadline fires);
 * ``flaky_crash`` — crashes on the first attempt only: the retry on a
   fresh worker must succeed and the verdict must match a clean sweep;
 * ``error`` — raises a solver error on the first attempt only;
@@ -25,8 +29,8 @@ path right before solving):
   engine must fall back to the enum engine and still decide the pair.
 
 Two parent-side faults complete the coverage: ``pool_fail_after`` kills
-the whole pool drive after N results (exercising the serial fallback and
-its in-flight attribution) and ``abort_after_solved`` aborts the sweep
+the whole pool drive after N results (exercising the in-process fallback
+and its in-flight attribution) and ``abort_after_solved`` aborts the sweep
 itself after N solved pairs (exercising cache checkpoint recovery; the
 sweep raises :class:`SweepAborted`).
 
@@ -133,8 +137,8 @@ def apply_chaos(plan: EngineChaosPlan | None, i: int, j: int, attempt: int,
     """Inject the planned fault for this attempt, if any.
 
     ``stage`` is ``"worker"`` (crash = hard process exit) or ``"serial"``
-    (crash = :class:`WorkerCrash`, since killing the parent would take
-    the sweep down for real)."""
+    for the in-process lane (crash = :class:`WorkerCrash`, since killing
+    the parent would take the sweep down for real)."""
     if plan is None:
         return
     mode = plan.mode_for(i, j, attempt, engine)
@@ -210,18 +214,22 @@ def _untimed(report) -> list[dict]:
             for row in report.to_json_obj()["verdicts"]]
 
 
-def _solver_bound_pairs(analysis, config) -> list[tuple[int, int]]:
-    """The (i, j) pairs a sweep actually hands to a solver (not pruned)."""
-    from ..verifier.runner import classify_pair
+def _solver_bound_pairs(analysis, config) -> dict[tuple, list[tuple]]:
+    """The pairs a cold sweep hands to a solver — the plan's route-
+    ``solve`` representatives, as ``(i, j)`` in sweep order — each
+    mapped to its class: the representative followed by its shared
+    members."""
+    from .reduction import ROUTE_SHARED, ROUTE_SOLVE, plan_sweep
 
-    effectful = analysis.effectful_paths
-    out = []
-    for i, p in enumerate(effectful):
-        for j in range(i, len(effectful)):
-            if classify_pair(p, effectful[j], analysis.schema,
-                             config) is None:
-                out.append((i, j))
-    return out
+    plan = plan_sweep(analysis, config)
+    classes: dict[tuple, list[tuple]] = {}
+    for pp in plan.pairs:
+        if pp.route == ROUTE_SOLVE:
+            classes[(pp.i, pp.j)] = [(pp.i, pp.j)]
+        elif pp.route == ROUTE_SHARED:
+            rep = plan.pairs[pp.rep_slot]
+            classes[(rep.i, rep.j)].append((pp.i, pp.j))
+    return classes
 
 
 def _pair_names(analysis, pair: tuple[int, int]) -> tuple[str, str]:
@@ -240,11 +248,12 @@ def run_engine_chaos(
 ) -> EngineChaosReport:
     """Run ``seeds`` seeded fault plans against real sweeps of ``app``.
 
-    Every seed checks the whole fault-tolerance contract: always-poisoned
-    pairs (and only those) degrade to conservative ``unknown`` verdicts,
-    every other verdict is byte-identical to a clean serial sweep,
-    unknowns are never cached (a chaos-free warm re-run re-solves exactly
-    the poisoned tail and then matches the baseline everywhere), wall
+    Every seed checks the whole fault-tolerance contract: the classes of
+    always-poisoned representatives (and only those) degrade to
+    conservative ``unknown`` verdicts, every other verdict is
+    byte-identical to a clean serial sweep, unknowns are never cached (a
+    chaos-free warm re-run re-solves exactly the poisoned
+    representatives and then matches the baseline everywhere), wall
     time stays within the deadline budget, and — on the seeds that
     corrupt the cache — the corrupt file is quarantined, not trusted and
     not silently destroyed."""
@@ -254,13 +263,10 @@ def run_engine_chaos(
     t_run = time.perf_counter()
     analysis = _build_analysis(app)
     config = CHAOS_CHECK_CONFIG
-    # Chaos sweeps run with reduce=False: the contract is
-    # per-pair ("poisoned pairs — and only those — differ"),
-    # and verdict sharing would fan one poisoned representative
-    # out to its whole signature class.
-    baseline = run_pair_sweep(analysis, config, reduce=False)
+    baseline = run_pair_sweep(analysis, config)
     base_rows = _untimed(baseline)
-    candidates = _solver_bound_pairs(analysis, config)
+    classes = _solver_bound_pairs(analysis, config)
+    candidates = list(classes)
     if len(candidates) < 3:
         raise ValueError(
             f"{app} has only {len(candidates)} solver-bound pairs; "
@@ -293,14 +299,14 @@ def run_engine_chaos(
         if plan.pool_fail_after is not None:
             outcome.faults["pool_fail_after"] = [str(plan.pool_fail_after)]
 
-        poisoned_names = {_pair_names(analysis, p)
-                          for p in plan.always_poisoned}
+        poisoned_names = {_pair_names(analysis, member)
+                          for rep in plan.always_poisoned
+                          for member in classes[rep]}
         t0 = time.perf_counter()
         with tempfile.TemporaryDirectory(prefix="noctua-chaos-") as tmp:
             chaotic = run_pair_sweep(
                 analysis, config, jobs=jobs, use_cache=True, cache_dir=tmp,
                 chaos=plan, pair_deadline_s=deadline_s, retry=policy,
-                reduce=False,
             )
             outcome.wall_s = time.perf_counter() - t0
             metrics = chaotic.metrics
@@ -313,7 +319,7 @@ def run_engine_chaos(
                 outcome.problems.append(
                     f"expected {len(poisoned_names)} unknowns, metrics "
                     f"report {outcome.unknowns}")
-            budget = 20.0 + 3.0 * len(poisoned_names) * \
+            budget = 20.0 + 3.0 * len(plan.always_poisoned) * \
                 policy.max_attempts * deadline_s
             if outcome.wall_s > budget:
                 outcome.problems.append(
@@ -321,15 +327,16 @@ def run_engine_chaos(
                     f"(budget {budget:.1f}s)")
 
             # Recovery: a chaos-free warm sweep must re-solve exactly the
-            # poisoned tail (unknowns were never cached) and then agree
-            # with the clean baseline everywhere.
+            # poisoned representatives (unknowns were never cached) and
+            # then agree with the clean baseline everywhere.
             warm = run_pair_sweep(analysis, config, use_cache=True,
-                                  cache_dir=tmp, reduce=False)
-            if warm.metrics["solver_calls"] != len(poisoned_names):
+                                  cache_dir=tmp)
+            expected_calls = len(plan.always_poisoned)
+            if warm.metrics["solver_calls"] != expected_calls:
                 outcome.problems.append(
                     f"warm re-run solved {warm.metrics['solver_calls']} "
-                    f"pairs, expected the {len(poisoned_names)} "
-                    f"uncached unknowns")
+                    f"pairs, expected the {expected_calls} poisoned "
+                    f"representatives")
             if _untimed(warm) != base_rows:
                 outcome.problems.append(
                     "warm re-run after chaos differs from clean baseline")
@@ -354,7 +361,7 @@ def run_engine_chaos(
 
 def _check_verdicts(outcome: SeedOutcome, base_rows: list[dict],
                     chaos_rows: list[dict], poisoned_names: set) -> None:
-    """Poisoned pairs must be unknown; everything else byte-identical."""
+    """Poisoned classes must be unknown; everything else byte-identical."""
     if len(base_rows) != len(chaos_rows):
         outcome.problems.append(
             f"verdict count {len(chaos_rows)} != baseline "
@@ -378,8 +385,7 @@ def _check_cache_quarantine(outcome: SeedOutcome, analysis, config,
     """Corrupt the cache file, re-sweep, and require quarantine + a
     baseline-identical report."""
     with tempfile.TemporaryDirectory(prefix="noctua-chaos-cache-") as tmp:
-        run_pair_sweep(analysis, config, use_cache=True, cache_dir=tmp,
-                       reduce=False)
+        run_pair_sweep(analysis, config, use_cache=True, cache_dir=tmp)
         cache_file = Path(tmp) / f"{_safe_name(analysis.app_name)}.json"
         cache_file.write_text("{corrupt" + cache_file.read_text()[:64])
         import warnings as _warnings
@@ -387,7 +393,7 @@ def _check_cache_quarantine(outcome: SeedOutcome, analysis, config,
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore", RuntimeWarning)
             after = run_pair_sweep(analysis, config, use_cache=True,
-                                   cache_dir=tmp, reduce=False)
+                                   cache_dir=tmp)
         quarantined = cache_file.with_name(
             cache_file.name + QUARANTINE_SUFFIX)
         if not quarantined.exists():

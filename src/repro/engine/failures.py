@@ -10,9 +10,9 @@ vocabulary and the policies for that event:
 * :class:`PairFailure` — one failed attempt at one pair, classified into
   the three-way taxonomy ``timeout`` / ``crash`` / ``solver-error``
   (:data:`FAILURE_KINDS`);
-* :func:`deadline` — a wall-clock guard for the *serial* solve path
-  (``SIGALRM``-based; worker-side deadlines are enforced by the parent
-  watchdog, which can actually kill a wedged process);
+* :func:`deadline` — a wall-clock guard for the scheduler's in-process
+  lane (``SIGALRM``-based; worker-side deadlines are enforced by the
+  parent watchdog, which can actually kill a wedged process);
 * :class:`RetryPolicy` / :func:`plan_retry` — bounded retry with
   exponential backoff, budget degradation on timeout
   (:func:`degrade_config`) and SMT→enum engine fallback on persistent
@@ -60,13 +60,13 @@ def cap_text(text: str, limit: int = MAX_DETAIL_CHARS) -> str:
 
 
 class DeadlineExceeded(Exception):
-    """A per-pair wall-clock deadline fired (serial path)."""
+    """A per-pair wall-clock deadline fired (in-process lane)."""
 
 
 class WorkerCrash(Exception):
     """An in-process stand-in for a worker crash.
 
-    The chaos layer raises it on the serial path (where ``os._exit``
+    The chaos layer raises it on the in-process lane (where ``os._exit``
     would take the whole sweep down); the parent classifies a genuinely
     dead worker process the same way."""
 
@@ -128,7 +128,7 @@ class PairFailure:
     left: str
     right: str
     attempt: int  # 1-based attempt number that failed
-    stage: str  # "worker" | "serial"
+    stage: str  # "worker" | "serial" (the in-process lane)
     detail: str = ""
 
     def describe(self) -> str:
@@ -144,23 +144,20 @@ class RetryPolicy:
     """How the scheduler reacts to a :class:`PairFailure`.
 
     ``max_attempts`` bounds the total tries per pair (the first attempt
-    included); retries run on a fresh worker after an exponential
-    backoff.  A ``timeout`` retry optionally degrades the search budget
-    (:func:`degrade_config`) so the retry has a chance of *deciding*
-    (conservatively) instead of being killed again; a ``crash`` or
-    ``solver-error`` under the SMT backend retries on the enum engine —
-    the two backends implement the same rules, so a verdict from the
-    fallback engine is still a verdict."""
+    included); retries run after an exponential backoff.  How a retry
+    differs from the failed attempt is fixed by :func:`plan_retry`."""
 
     max_attempts: int = 3
     backoff_s: float = 0.05
-    degrade_on_timeout: bool = True
-    fallback_engine: str | None = "enum"
 
     def backoff_for(self, attempt: int) -> float:
         """Backoff before retrying after 1-based failed attempt N."""
         return self.backoff_s * (2 ** max(0, attempt - 1))
 
+
+#: the engine a persistently failing SMT pair retries on — the two
+#: backends implement the same rules, so its verdict is still a verdict
+FALLBACK_ENGINE = "enum"
 
 #: a solve task as it travels the scheduler and the worker protocol:
 #: (slot, i, j, attempt, engine, degrade_level)
@@ -171,23 +168,19 @@ def plan_retry(task: Task, kind: str, policy: RetryPolicy,
                *, base_engine: str) -> Task | None:
     """The follow-up task for a failed attempt, or ``None`` to degrade.
 
-    Applies the policy's three levers: attempt budget, engine fallback
-    (SMT crash/solver-error → the fallback engine), and budget
-    degradation (timeout → next degrade level)."""
+    Three levers: the policy's attempt budget, engine fallback (an SMT
+    sweep's crash/solver-error → :data:`FALLBACK_ENGINE`), and budget
+    degradation (timeout → next :func:`degrade_config` level, so the
+    retry has a chance of *deciding* conservatively instead of being
+    killed again)."""
     slot, i, j, attempt, engine, level = task
     if attempt + 1 >= policy.max_attempts:
         return None
     next_engine = engine
-    if (
-        base_engine == "smt"
-        and engine == "smt"
-        and kind in (CRASH, SOLVER_ERROR)
-        and policy.fallback_engine
-    ):
-        next_engine = policy.fallback_engine
-    next_level = level
-    if kind == TIMEOUT and policy.degrade_on_timeout:
-        next_level = level + 1
+    if (base_engine == "smt" and engine == "smt"
+            and kind in (CRASH, SOLVER_ERROR)):
+        next_engine = FALLBACK_ENGINE
+    next_level = level + 1 if kind == TIMEOUT else level
     return (slot, i, j, attempt + 1, next_engine, next_level)
 
 

@@ -39,10 +39,9 @@ def fold_sweep_into(registry: MetricsRegistry, sweep: Span) -> dict:
 
     * ``pairs_total{route=...}`` — every pair outcome by route
       (``pruned:<tag>`` / ``cached`` / ``shared`` / ``solved`` /
-      ``unknown``); ``failed-attempt`` spans are retried attempts, not
-      outcomes, and ``portfolio-loser`` spans are the losing lane of a
+      ``unknown``); ``portfolio-loser`` spans are the losing lane of a
       race (their solve time is observed by backend, but the pair was
-      already counted under its winner) — both are skipped as outcomes;
+      already counted under its winner) and are skipped as outcomes;
     * ``classes_total`` / ``class_shared_total`` /
       ``pruned_pairs_total{tag=...}`` — reduction-pipeline effect:
       signature classes formed, verdicts shared from representatives,
@@ -59,7 +58,10 @@ def fold_sweep_into(registry: MetricsRegistry, sweep: Span) -> dict:
     * ``failures_total{kind=...}`` / ``retries_total`` /
       ``unknowns_total`` / ``fallbacks_total`` — the failure taxonomy
       (``pair-failure`` records count failed attempts; every failed
-      attempt was retried except the terminal one of each unknown pair);
+      attempt was retried except the terminal one of each unknown pair
+      that was itself attempted — a class member degrading with its
+      failed representative (``shared`` unknown) counts as an unknown
+      only: no attempt, no retry, no cache miss);
     * ``checkpoints_total`` / ``respawns_total`` / ``sweeps_total{mode}``
       — sweep-level execution facts from the sweep span attributes.
 
@@ -71,7 +73,7 @@ def fold_sweep_into(registry: MetricsRegistry, sweep: Span) -> dict:
     worker_busy: dict[str, float] = {}
     solved: list[tuple[str, str, float]] = []
     failed_attempts = 0
-    unknowns = 0
+    terminal_failures = 0
     for span in sweep.children:
         if span.kind == "pair-failure":
             kind = span.attrs.get("failure", "unknown")
@@ -87,8 +89,6 @@ def fold_sweep_into(registry: MetricsRegistry, sweep: Span) -> dict:
         if span.kind != "pair":
             continue
         route = span.attrs.get("route", "")
-        if route == "failed-attempt":
-            continue  # a retried attempt, not a pair outcome
         if route == "portfolio-loser":
             # The losing lane of a race: real solver work worth timing,
             # but the pair outcome was already counted under its winner.
@@ -104,10 +104,11 @@ def fold_sweep_into(registry: MetricsRegistry, sweep: Span) -> dict:
         if span.attrs.get("engine_fallback"):
             registry.inc("noctua_engine_fallbacks_total")
         if route == "unknown":
-            unknowns += 1
             registry.inc("noctua_engine_unknowns_total")
-            if span.attrs.get("cache") == "miss":
-                registry.inc("noctua_engine_cache_misses_total")
+            if not span.attrs.get("shared"):
+                terminal_failures += 1
+                if span.attrs.get("cache") == "miss":
+                    registry.inc("noctua_engine_cache_misses_total")
         elif route == "cached":
             registry.inc("noctua_engine_cache_hits_total")
             registry.inc("noctua_engine_cache_saved_seconds_total",
@@ -134,7 +135,7 @@ def fold_sweep_into(registry: MetricsRegistry, sweep: Span) -> dict:
                 span.attrs.get("right", ""),
                 elapsed,
             ))
-    retries = max(0, failed_attempts - unknowns)
+    retries = max(0, failed_attempts - terminal_failures)
     if retries:
         registry.inc("noctua_engine_retries_total", retries)
     checkpoints = sweep.attrs.get("checkpoints", 0)

@@ -27,6 +27,10 @@ This module removes both kinds of redundancy before any solver runs:
   without a solver call.  This is strictly finer than the model-level
   disjointness fast path in :func:`repro.verifier.runner.classify_pair`:
   two paths updating *different columns of the same table* prune here.
+  :func:`prune_pair` stacks it on top of ``classify_pair``; the sweep
+  and the explainer both go through it, while
+  :func:`~repro.verifier.runner.verify_pair` stays the unpruned per-pair
+  reference.
 
 * **Sweep planning** — :func:`plan_sweep` runs the complete solver-free
   pass (pruning, cache lookup, class assignment) and returns one
@@ -40,9 +44,9 @@ when the representative's outcome is a budget artifact (``TIMEOUT``),
 because the bounded checkers are deterministic given the canonical
 structure — the only name-sensitivity left is the enum checker's
 per-pair sampling seed, which can in principle make two isomorphic
-problems diverge *near* a budget edge.  The builtin-app property test
-(reduction on ≡ reduction off, byte-identical restriction sets) pins
-this in practice; ``--no-reduce`` disables the whole layer.
+problems diverge *near* a budget edge.  Reduction is always on; the
+builtin-app property test (the sweep ≡ a plain ``verify_pair`` loop,
+byte-identical restriction sets) pins this in practice.
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ from ..soir.path import AnalysisResult, CodePath
 from ..soir.schema import ModelSchema, RelationSchema, Schema
 from ..soir.serialize import path_to_obj, type_to_obj
 from ..verifier.enumcheck import CheckConfig
-from ..verifier.restrictions import PairVerdict
+from ..verifier.restrictions import CheckResult, Outcome, PairVerdict
+from ..verifier.runner import PRUNE_RW, classify_pair
 
 #: bump when canonicalization rules change — part of the class digest, so
 #: stale class keys can never alias across versions of the rules
@@ -522,6 +527,27 @@ def rw_disjoint(p: CodePath, q: CodePath, schema: Schema) -> bool:
     )
 
 
+def prune_pair(
+    p: CodePath, q: CodePath, schema: Schema, config: CheckConfig,
+) -> tuple[PairVerdict, str] | None:
+    """The sweep's solver-free layers: :func:`~repro.verifier.runner
+    .classify_pair`'s fast paths, then read/write disjointness.
+
+    Returns ``(verdict, prune_tag)`` when a layer decides the pair, or
+    ``None`` when it needs a solver."""
+    classified = classify_pair(p, q, schema, config)
+    if classified is not None or not rw_disjoint(p, q, schema):
+        return classified
+    verdict = PairVerdict(p.name, q.name, left_view=p.view,
+                          right_view=q.view)
+    for kind in ("commutativity", "semantic"):
+        setattr(verdict, kind, CheckResult(
+            p.name, q.name, kind, Outcome.PASS,
+            detail="disjoint read/write footprints"))
+    verdict.provenance = {"source": "pruned", "tag": PRUNE_RW}
+    return verdict, PRUNE_RW
+
+
 # ---------------------------------------------------------------------------
 # Sweep planning.  One solver-free pass shared by the scheduler, the
 # service daemon's invalidation preview and cache maintenance.
@@ -547,7 +573,7 @@ class PairPlan:
     verdict: PairVerdict | None = None  # pruned / cached verdict
     saved_s: float = 0.0               # cached only
     fp: str | None = None              # pair fingerprint (non-pruned)
-    class_key: str = ""                # signature class (reduce on)
+    class_key: str = ""                # signature class
     rep_slot: int | None = None        # shared: the representative's slot
     renaming: dict | None = None       # shared: member -> rep names
 
@@ -557,7 +583,7 @@ class SweepPlan:
     """Every pair's plan plus the class-level summary."""
 
     pairs: list[PairPlan] = field(default_factory=list)
-    classes: int = 0        # distinct signature classes seen (reduce on)
+    classes: int = 0        # distinct signature classes seen
     shared: int = 0         # pairs resolved by verdict sharing
     solver_calls: int = 0   # pairs the solver must actually visit
 
@@ -574,7 +600,6 @@ def plan_sweep(
     config: CheckConfig | None = None,
     *,
     engine: str = "enum",
-    reduce: bool = True,
     cache=None,
     fingerprints=None,
 ) -> SweepPlan:
@@ -582,13 +607,12 @@ def plan_sweep(
 
     ``cache``/``fingerprints`` are a :class:`~repro.engine.cache
     .ResultCache` and :class:`~repro.engine.fingerprint
-    .FingerprintContext` (both optional, supplied together).  With
-    ``reduce`` on, the plan additionally applies read/write disjointness
-    pruning and assigns every surviving pair to its signature class: the
-    first member of a class becomes its *representative* (a cache hit
-    also claims representativeship — its stored verdict is shared), and
-    later members resolve as :data:`ROUTE_SHARED` with the member →
-    representative renaming attached.
+    .FingerprintContext` (both optional, supplied together).  Pairs that
+    :func:`prune_pair` cannot decide are assigned to their signature
+    class: the first member of a class becomes its *representative* (a
+    cache hit also claims representativeship — its stored verdict is
+    shared), and later members resolve as :data:`ROUTE_SHARED` with the
+    member → representative renaming attached.
 
     Determinism: pairs are visited in sweep order (``i <= j``), so the
     representative choice — and therefore solver-call count — is a pure
@@ -596,8 +620,6 @@ def plan_sweep(
     single source of truth for "which pairs does a sweep solve": the
     scheduler executes this plan and the service daemon's invalidation
     preview simply reads :meth:`SweepPlan.invalidated` from it."""
-    from ..verifier.runner import classify_pair
-
     config = config or CheckConfig()
     effectful = analysis.effectful_paths
     plan = SweepPlan()
@@ -608,8 +630,7 @@ def plan_sweep(
         for j in range(i, len(effectful)):
             q = effectful[j]
             slot = len(plan.pairs)
-            classified = classify_pair(p, q, analysis.schema, config,
-                                       rw=reduce)
+            classified = prune_pair(p, q, analysis.schema, config)
             if classified is not None:
                 verdict, tag = classified
                 plan.pairs.append(PairPlan(
@@ -619,10 +640,7 @@ def plan_sweep(
             fp = None
             if fingerprints is not None:
                 fp = fingerprints.pair(p, q)
-            class_key = ""
-            maps: dict = {}
-            if reduce:
-                class_key, maps = canonical_pair(p, q, analysis.schema)
+            class_key, maps = canonical_pair(p, q, analysis.schema)
             hit = cache.get(fp) if (cache is not None and fp) else None
             if hit is not None:
                 verdict, saved_s = hit
@@ -631,10 +649,9 @@ def plan_sweep(
                     saved_s=saved_s, fp=fp, class_key=class_key))
                 # A warm verdict seeds its class: later members share it
                 # instead of re-solving.
-                if reduce and class_key not in class_index:
-                    class_index[class_key] = (slot, maps)
+                class_index.setdefault(class_key, (slot, maps))
                 continue
-            if reduce and class_key in class_index:
+            if class_key in class_index:
                 rep_slot, rep_maps = class_index[class_key]
                 plan.pairs.append(PairPlan(
                     slot, i, j, p, q, ROUTE_SHARED, fp=fp,
@@ -642,8 +659,7 @@ def plan_sweep(
                     renaming=renaming_between(maps, rep_maps)))
                 plan.shared += 1
                 continue
-            if reduce:
-                class_index[class_key] = (slot, maps)
+            class_index[class_key] = (slot, maps)
             plan.pairs.append(PairPlan(
                 slot, i, j, p, q, ROUTE_SOLVE, fp=fp,
                 class_key=class_key))

@@ -4,29 +4,34 @@ pair sweeps.
 Sits between the analyzer and the pair checkers (paper Figure 1 gains a
 box): ``run_pair_sweep`` drives the quadratic sweep over effectful code
 paths that ``verify_application`` used to run inline, adding four layers
-while preserving result equality with the plain serial loop:
+while preserving the restriction set of a plain ``verify_pair`` loop:
 
-1. **pruning** — the solver-free fast layers (``classify_pair``) resolve
-   conservative, order-disabled and disjoint-footprint pairs in the
-   parent process;
+1. **reduction** — one solver-free plan (:func:`~repro.engine.reduction
+   .plan_sweep`) prunes conservative, order-disabled, disjoint-footprint
+   and read/write-disjoint pairs and assigns the rest to signature
+   classes: one representative is solved per class and its verdict is
+   shared with the members;
 2. **memoization** — remaining pairs are looked up in a content-addressed
    on-disk cache (:mod:`repro.engine.cache`) keyed by the pair fingerprint
    (:mod:`repro.engine.fingerprint`); after an edit, only pairs whose
    fingerprints changed are re-solved, and the cache is *checkpointed*
    mid-sweep every ``checkpoint_every`` solved pairs so a killed sweep
    resumes warm;
-3. **parallelism** — cache misses are dispatched across a hand-rolled
-   pool of ``spawn`` worker processes (``jobs > 1``), falling back to
-   serial execution if a pool cannot be created or dies entirely;
+3. **one dispatcher** — the solver queue drains through *lanes*: a
+   hand-rolled pool of ``spawn`` worker processes (``jobs > 1``), or the
+   in-process lane, which runs each attempt in the parent.  Both answer
+   with the same message, so there is one settle / retry / checkpoint
+   path; a pool that cannot start or dies mid-sweep is reaped and the
+   same loop keeps draining in-process, every task at its attempt state;
 4. **fault tolerance** — every solve attempt runs under a per-pair
    wall-clock deadline (parent watchdog for workers, ``SIGALRM`` for the
-   serial path) and failures are classified into the ``timeout`` /
+   in-process lane) and failures are classified into the ``timeout`` /
    ``crash`` / ``solver-error`` taxonomy (:mod:`repro.engine.failures`).
-   A failed pair costs only itself: the pool keeps draining, the pair is
-   retried with backoff on a fresh worker (optionally with a degraded
-   budget, or on the enum engine after a persistent SMT failure), and a
-   pair that exhausts its attempts degrades to a conservative
-   ``unknown`` verdict — restricted, clearly marked, and never cached.
+   A failed pair costs only itself: the queue keeps draining, the pair
+   is retried with backoff (optionally with a degraded budget, or on the
+   enum engine after a persistent SMT failure), and a pair that exhausts
+   its attempts degrades to a conservative ``unknown`` verdict —
+   restricted, clearly marked, and never cached.
 
 The pool is hand-rolled rather than ``multiprocessing.Pool`` because the
 failure semantics are the point: ``Pool`` treats one dead worker as a
@@ -39,29 +44,32 @@ not inherit the parent's tracer, signal handlers or lock state via fork.
 
 Observability: every sweep runs inside a ``pair-sweep`` span with one
 ``pair`` child per pair (route = ``pruned:<tag>`` / ``cached`` /
-``shared`` / ``solved`` / ``unknown``; failed serial attempts appear as
-route ``failed-attempt`` and each failed attempt also leaves a
-``pair-failure`` record; a portfolio race additionally leaves a
-``portfolio-loser`` pair child for the losing lane when it finishes and
-a ``portfolio-sample`` record per cross-checked agreement).  When the caller has a tracer active (:mod:`repro.obs`) those
-spans land in the caller's trace — including spans produced *inside
-worker processes*, which are serialized and grafted back onto the parent
-tree.  With no tracer active, the scheduler still builds the span tree on
-a private tracer, because :class:`~repro.engine.metrics.EngineMetrics` is
-computed *from* the spans (``EngineMetrics.from_sweep``).
+``shared`` / ``solved`` / ``unknown``); each failed attempt, in either
+lane, leaves one ``pair-failure`` record; a portfolio race additionally
+leaves a ``portfolio-loser`` pair child for the losing lane when it
+finishes and a ``portfolio-sample`` record per cross-checked agreement.
+When the caller has a tracer active (:mod:`repro.obs`) those spans land
+in the caller's trace — including spans produced inside a lane (a
+worker's arrive serialized over its pipe), which are grafted back onto
+the parent tree.  With no tracer active, the scheduler still builds the
+span tree on a private tracer, because
+:class:`~repro.engine.metrics.EngineMetrics` is computed *from* the
+spans (``EngineMetrics.from_sweep``).
 
 Determinism: verdicts are assembled into the report in sweep order
-(``i <= j`` over the effectful-path list) regardless of worker completion
+(``i <= j`` over the effectful-path list) regardless of completion
 order, and the checkers themselves are process-independent (seeded
 sampling, no builtin ``hash``), so serial, parallel and cached sweeps
 produce identical reports.  Fault tolerance preserves this on the
 decided subset: a sweep with failures matches a clean sweep on every
-pair the engine could decide (tests/test_engine_chaos.py asserts this
-report equality under injected crashes, hangs and pool death).
+signature class the engine could decide (tests/test_engine_chaos.py
+asserts this report equality under injected crashes, hangs and pool
+death).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import multiprocessing.connection
@@ -83,7 +91,6 @@ from ..verifier.runner import (
     definitive,
     portfolio_agreement,
     solve_pair,
-    solve_pair_guarded,
 )
 from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .chaos import EngineChaosPlan, SweepAborted, apply_chaos
@@ -95,6 +102,7 @@ from .failures import (
     Task,
     cap_text,
     classify_exception,
+    deadline,
     default_deadline,
     degrade_config,
     plan_retry,
@@ -116,58 +124,61 @@ from .reduction import (
 DEFAULT_CHECKPOINT_EVERY = 8
 
 # ---------------------------------------------------------------------------
-# Worker side.  Each pool worker deserializes the sweep inputs once (in the
-# initializer) and then solves pairs by index; passing SOIR JSON instead of
-# pickled objects keeps the protocol spawn-safe and version-checkable.
+# Lane side.  Both lane kinds run one attempt through ``_attempt``.  Each
+# pool worker deserializes the sweep inputs once (in the initializer) and
+# then solves pairs by index; passing SOIR JSON instead of pickled objects
+# keeps the protocol spawn-safe and version-checkable.
 # ---------------------------------------------------------------------------
 
 _WORKER: dict = {}
 
 
 def _worker_init(schema_json: str, paths_json: str, config_args: dict,
-                 engine: str, trace: bool, chaos_obj: dict | None) -> None:
+                 trace: bool, chaos_obj: dict | None) -> None:
     _WORKER["schema"] = schema_from_obj(json.loads(schema_json))
     _WORKER["paths"] = [path_from_obj(o) for o in json.loads(paths_json)]
     _WORKER["config"] = CheckConfig(**config_args)
-    _WORKER["engine"] = engine
     _WORKER["trace"] = trace
     _WORKER["chaos"] = (
         EngineChaosPlan.from_obj(chaos_obj) if chaos_obj else None)
 
 
-def _worker_solve(task: Task) -> tuple[int, dict, int, float, dict | None]:
-    """Solve one pair; optionally under a worker-local tracer.
+def _attempt(task: Task, paths: list, schema, config: CheckConfig,
+             chaos: EngineChaosPlan | None, trace: bool, *, stage: str,
+             ) -> tuple[int, object, int, float, "obs.Span | None"]:
+    """Run one solve attempt; optionally under a lane-local tracer.
 
-    When the parent sweep is traced, the worker opens its own ``pair``
-    span (the check/solver spans nest under it), serializes the finished
-    span tree, and ships it back with the verdict — the parent grafts it
-    into the sweep span so the final trace covers worker-side work.
+    When the sweep is traced, the lane opens its own ``pair`` span (the
+    check/solver spans nest under it) and hands back the finished span
+    tree with the verdict — the parent grafts it into the sweep span, so
+    the trace covers lane-side work and both lane kinds look alike (a
+    worker serializes the tree for the pipe).
 
-    No deadline is armed here: the parent watchdog *is* the worker-side
+    No deadline is armed here: the in-process lane wraps the call in the
+    ``SIGALRM`` deadline, and the parent watchdog *is* a worker's
     deadline, because only a separate process can stop a solver wedged
     in native-speed search (or a chaos-injected hang)."""
     slot, i, j, attempt, task_engine, level = task
-    paths = _WORKER["paths"]
     p, q = paths[i], paths[j]
-    config = degrade_config(_WORKER["config"], level)
-    apply_chaos(_WORKER["chaos"], i, j, attempt, task_engine, stage="worker")
+    attempt_config = degrade_config(config, level)
+    apply_chaos(chaos, i, j, attempt, task_engine, stage=stage)
     started = time.perf_counter()
-    span_obj: dict | None = None
-    if _WORKER["trace"]:
+    span: obs.Span | None = None
+    if trace:
         tracer = obs.Tracer()
         with obs.activate(tracer):
             with tracer.span(f"{p.name} x {q.name}", "pair",
                              left=p.name, right=q.name, route="solved",
                              pid=os.getpid()) as pair_span:
-                verdict = solve_pair(p, q, _WORKER["schema"], config,
+                verdict = solve_pair(p, q, schema, attempt_config,
                                      engine=task_engine)
                 pair_span.set(restricted=verdict.restricted)
-        span_obj = obs.span_to_obj(tracer.roots[0])
+        span = tracer.roots[0]
     else:
-        verdict = solve_pair(p, q, _WORKER["schema"], config,
+        verdict = solve_pair(p, q, schema, attempt_config,
                              engine=task_engine)
     elapsed = time.perf_counter() - started
-    return slot, verdict_to_obj(verdict), os.getpid(), elapsed, span_obj
+    return slot, verdict, os.getpid(), elapsed, span
 
 
 def _worker_main(conn, init_args: tuple) -> None:
@@ -186,12 +197,16 @@ def _worker_main(conn, init_args: tuple) -> None:
         if task is None:
             return
         try:
-            result = _worker_solve(task)
+            slot, verdict, pid, elapsed, span = _attempt(
+                task, _WORKER["paths"], _WORKER["schema"], _WORKER["config"],
+                _WORKER["chaos"], _WORKER["trace"], stage="worker")
         except BaseException as exc:  # classified, never fatal to the pool
             kind, detail = classify_exception(exc)
             conn.send(("fail", task, kind, detail))
             continue
-        conn.send(("ok", task, result))
+        span_obj = obs.span_to_obj(span) if span is not None else None
+        conn.send(("ok", task, (slot, verdict_to_obj(verdict), pid, elapsed,
+                                span_obj)))
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +222,12 @@ def run_pair_sweep(
     jobs: int = 1,
     use_cache: bool = False,
     cache_dir: str | None = None,
-    prune_cache: bool = False,
     pair_deadline_s: float | None = None,
     retry: RetryPolicy | None = None,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     chaos: EngineChaosPlan | None = None,
-    reduce: bool = True,
 ) -> VerificationReport:
     """Verify every unordered pair of effectful paths of ``analysis``.
-
-    ``prune_cache`` additionally drops cache entries not referenced by
-    this sweep (stale fingerprints from earlier versions of the app).
 
     ``pair_deadline_s`` bounds the wall clock of each solve attempt
     (default: :func:`~repro.engine.failures.default_deadline`, generous
@@ -227,13 +237,13 @@ def run_pair_sweep(
     cadence (``0`` disables checkpointing); ``chaos`` injects a fault
     plan (tests and the ``engine-chaos`` harness only).
 
-    ``reduce`` enables the pre-solve reduction pipeline
-    (:mod:`repro.engine.reduction`): read/write disjointness pruning and
-    signature-class verdict sharing — one representative solved per
-    class, members relabeled with full provenance.  ``engine`` may be
-    ``"portfolio"``: each representative races the enum and SMT backends
-    in the worker pool, the first definitive answer wins and the loser's
-    verdict (when it finishes) becomes a cross-check agreement sample."""
+    The pre-solve reduction pipeline (:mod:`repro.engine.reduction`)
+    always runs: read/write disjointness pruning and signature-class
+    verdict sharing — one representative solved per class, members
+    relabeled with full provenance.  ``engine`` may be ``"portfolio"``:
+    each representative races the enum and SMT backends, the first
+    definitive answer wins and the loser's verdict (when it finishes)
+    becomes a cross-check agreement sample."""
     config = config or CheckConfig()
     policy = retry or RetryPolicy()
     deadline_s = (pair_deadline_s if pair_deadline_s is not None
@@ -265,18 +275,16 @@ def run_pair_sweep(
         # they were computed.  The same planner backs the service
         # daemon's invalidation preview, which is what keeps
         # ``preview == actual solver calls`` true under class sharing.
-        plan = plan_sweep(analysis, config, engine=engine, reduce=reduce,
-                          cache=cache, fingerprints=fingerprints)
-        sweep_span.set(classes=plan.classes, reduce=reduce)
+        plan = plan_sweep(analysis, config, engine=engine, cache=cache,
+                          fingerprints=fingerprints)
+        sweep_span.set(classes=plan.classes)
         verdicts: list = [None] * len(plan.pairs)
         queue: list[Task] = []
         slot_fp: dict[int, str] = {}
         slot_class: dict[int, str] = {}
-        live_fps: set[str] = plan.live_fingerprints()
         #: representative slot -> class members awaiting its verdict
         shared_members: dict[int, list] = {}
 
-        # Shared degradation machinery (used by both execution paths).
         cache_attr = {"cache": "miss"} if cache is not None else {}
         counters = {"solved": 0, "since_checkpoint": 0, "checkpoints": 0}
 
@@ -361,7 +369,7 @@ def run_pair_sweep(
                     left=member.left.name, right=member.right.name,
                     route="unknown", failure=failure.kind,
                     attempts=failure.attempt, restricted=True,
-                    shared=True, **cache_attr,
+                    shared=True,
                 )
 
         for pp in plan.pairs:
@@ -394,32 +402,14 @@ def run_pair_sweep(
                     slot_class[pp.slot] = pp.class_key
                 queue.append((pp.slot, pp.i, pp.j, 0, engine, 0))
 
-        def record_failure(task: Task, kind: str, detail: str,
-                           stage: str) -> None:
-            slot, i, j, attempt, task_engine, level = task
-            p, q = effectful[i], effectful[j]
-            tracer.record(
-                f"{p.name} x {q.name}", "pair-failure",
-                left=p.name, right=q.name, failure=kind,
-                attempt=attempt + 1, stage=stage, engine=task_engine,
-                detail=cap_text(detail),
-            )
-
-        # Pass 2 — solve the queue, in parallel when asked and worthwhile.
+        # Pass 2 — drain the solver queue through the lanes.
         solve_start = time.perf_counter()
         try:
-            remaining = _solve_parallel(
+            _dispatch(
                 analysis, config, engine, jobs, queue, tracer, sweep_span,
                 traced=ambient is not None, cache_attr=cache_attr,
                 policy=policy, deadline_s=deadline_s, chaos=chaos,
                 commit=commit, emit_unknown=emit_unknown,
-                record_failure=record_failure,
-            )
-            _solve_serial(
-                analysis, config, engine, remaining, tracer,
-                cache_attr=cache_attr, policy=policy, deadline_s=deadline_s,
-                chaos=chaos, commit=commit, emit_unknown=emit_unknown,
-                record_failure=record_failure,
             )
         finally:
             # Whatever happens — including an injected SweepAborted —
@@ -431,8 +421,6 @@ def run_pair_sweep(
                        checkpoints=counters["checkpoints"])
 
         if cache is not None:
-            if prune_cache:
-                cache.prune(live_fps)
             cache.flush()
 
         metrics = EngineMetrics.from_sweep(sweep_span)
@@ -462,82 +450,9 @@ def run_pair_sweep(
     return report
 
 
-def _solve_serial(
-    analysis: AnalysisResult,
-    config: CheckConfig,
-    engine: str,
-    tasks: list[Task],
-    tracer: "obs.Tracer",
-    *,
-    cache_attr: dict,
-    policy: RetryPolicy,
-    deadline_s: float,
-    chaos: EngineChaosPlan | None,
-    commit,
-    emit_unknown,
-    record_failure,
-) -> None:
-    """Drain ``tasks`` in the parent process, deadline-guarded.
-
-    The per-pair deadline is enforced with ``SIGALRM`` here (see
-    :func:`~repro.engine.failures.deadline`): the parent cannot kill
-    itself, but it can interrupt a wedged solve and classify the attempt
-    as a ``timeout``.  Retries continue in place (fresh attempt, possibly
-    degraded budget or fallback engine) until the policy gives up and the
-    pair degrades to an ``unknown`` verdict."""
-    effectful = analysis.effectful_paths
-    for task in tasks:
-        while True:
-            slot, i, j, attempt, task_engine, level = task
-            p, q = effectful[i], effectful[j]
-            attempt_config = degrade_config(config, level)
-            with tracer.span(f"{p.name} x {q.name}", "pair",
-                             left=p.name, right=q.name, route="solved",
-                             pid=os.getpid(), **cache_attr) as pair_span:
-                verdict, failure = solve_pair_guarded(
-                    p, q, analysis.schema, attempt_config,
-                    engine=task_engine, deadline_s=deadline_s,
-                    inject=lambda: apply_chaos(
-                        chaos, i, j, attempt, task_engine, stage="serial"),
-                )
-                if verdict is not None:
-                    pair_span.set(restricted=verdict.restricted,
-                                  attempts=attempt + 1)
-                    if task_engine != engine:
-                        pair_span.set(engine_fallback=True,
-                                      engine_used=task_engine)
-                    if level:
-                        pair_span.set(degrade_level=level)
-                    info = getattr(verdict, "portfolio_info", None)
-                    if info is not None:
-                        pair_span.set(portfolio_win=info["winner"])
-                else:
-                    kind, detail = failure
-                    pair_span.set(route="failed-attempt", failure=kind,
-                                  attempt=attempt + 1,
-                                  detail=cap_text(detail))
-            if verdict is not None:
-                if info is not None and info["agree"] is not None:
-                    # Both lanes ran to completion: a free cross-check.
-                    tracer.record(
-                        f"{p.name} x {q.name}", "portfolio-sample",
-                        left=p.name, right=q.name, agree=info["agree"],
-                        winner=info["winner"],
-                    )
-                commit(slot, verdict, task)
-                break
-            record_failure(task, kind, detail, "serial")
-            next_task = plan_retry(task, kind, policy, base_engine=engine)
-            if next_task is None:
-                emit_unknown(slot, i, j, PairFailure(
-                    kind, p.name, q.name, attempt + 1, "serial",
-                    cap_text(detail)))
-                break
-            time.sleep(policy.backoff_for(attempt + 1))
-            task = next_task
 
 
-def _solve_parallel(
+def _dispatch(
     analysis: AnalysisResult,
     config: CheckConfig,
     engine: str,
@@ -553,47 +468,43 @@ def _solve_parallel(
     chaos: EngineChaosPlan | None,
     commit,
     emit_unknown,
-    record_failure,
-) -> list[Task]:
-    """Try to drain ``queue`` with a fault-tolerant worker pool.
+) -> None:
+    """Drain ``queue`` through lanes until every pair is resolved.
+
+    One queue, one result handler, one retry path.  A *lane* runs one
+    attempt at a time and answers with an ``("ok"|"fail", task, ...)``
+    message: a spawn worker over its pipe (``jobs > 1`` and at least two
+    tasks), or the in-process lane, which runs the attempt in the parent
+    under the ``SIGALRM`` :func:`~repro.engine.failures.deadline`.
 
     Pair-level isolation: a worker that crashes or blows the per-pair
-    deadline loses only its current pair — the parent kills/collects it,
-    classifies the failure, schedules a retry (fresh worker, backoff,
-    possibly degraded budget or fallback engine) and respawns capacity.
-    Only when the pool machinery itself fails does the sweep fall back to
-    serial execution, recording the in-flight pairs (the likely poison)
-    in ``fallback_reason``.
+    deadline loses only its current attempt — the parent kills/collects
+    it, classifies the failure, schedules a retry (backoff, possibly
+    degraded budget or fallback engine) and respawns capacity.  When the
+    pool machinery itself fails, the in-flight pairs (the likely poison)
+    are recorded in ``fallback_reason``, the workers are reaped, and the
+    same loop keeps draining through the in-process lane; every task and
+    portfolio lane keeps its attempt state.
 
     In portfolio mode every queued pair expands into one task per lane
-    (enum, smt) racing on separate workers: the first *definitive*
-    verdict wins the pair and the sibling lane is cancelled; when both
-    lanes finish, the loser's verdict is kept as a cross-check agreement
-    sample (route ``portfolio-loser`` + a ``portfolio-sample`` record).
-    A lane that fails retries within its own lane — the other lane is
-    the fallback — and a pair degrades to ``unknown`` only when every
-    lane is exhausted.
-
-    Returns the tasks still unsolved — empty on success, or the
-    unfinished tail (at their current attempt state) for the serial path.
-    """
+    (enum, smt).  The first *definitive* verdict wins the pair and the
+    sibling lane is cancelled; when both lanes finish, the loser's
+    verdict is kept as a cross-check agreement sample (route
+    ``portfolio-loser`` + a ``portfolio-sample`` record).  A lane that
+    fails retries within its own lane — the other lane is the fallback —
+    and a pair degrades to ``unknown`` only when every lane is
+    exhausted.  The in-process lane takes tasks in queue order, so it
+    runs the enum lane first and the SMT lane only while the pair is
+    still unresolved."""
+    effectful = analysis.effectful_paths
     portfolio = engine == "portfolio"
     work: list[Task] = queue
     if portfolio:
         work = [(slot, i, j, 0, lane, 0)
                 for slot, i, j, _a, _e, _l in queue
                 for lane in PORTFOLIO_LANES]
-    if jobs <= 1 or len(work) < 2:
-        return queue
-    import dataclasses
-
-    n_workers = min(jobs, len(work))
+    pending: list[list] = [[task, 0.0] for task in work]
     resolved: set[int] = set()
-    #: the most recent task tuple per unresolved slot, so a serial
-    #: fallback resumes each pair's retry budget where the pool left it
-    #: (portfolio falls back to fresh ``portfolio`` tasks instead: lane
-    #: attempt state does not translate to the sequential form)
-    latest: dict[int, Task] = {task[0]: task for task in queue}
     #: portfolio bookkeeping: lane liveness, non-definitive verdicts
     #: parked until the race settles, and winners for late cross-checks
     lanes: dict[int, dict[str, str]] = (
@@ -602,12 +513,14 @@ def _solve_parallel(
     candidates: dict[int, dict[str, tuple]] = {}
     winners: dict[int, tuple] = {}
     workers: dict[int, dict] = {}
+    n_workers = min(jobs, len(work))
+    pooled = jobs > 1 and len(work) >= 2
     respawns = 0
     results_seen = 0
 
-    def emit_pair_span(task: Task, verdict, pid, elapsed, span_obj,
+    def emit_pair_span(task: Task, verdict, pid, elapsed, span,
                        route: str = "solved", extra: dict | None = None):
-        """Land one worker result in the trace (graft or record)."""
+        """Land one lane result in the trace (graft or record)."""
         attrs = dict(attempts=task[3] + 1, **cache_attr)
         if portfolio:
             attrs["engine_used"] = task[4]
@@ -618,10 +531,10 @@ def _solve_parallel(
         if extra:
             attrs.update(extra)
         attrs["route"] = route
-        if span_obj is not None:
-            span_obj["attrs"].update(attrs)
-            span_obj["attrs"].setdefault("restricted", verdict.restricted)
-            tracer.graft(span_obj, parent=sweep_span)
+        if span is not None:
+            span.attrs.update(attrs)
+            span.attrs.setdefault("restricted", verdict.restricted)
+            tracer.graft(span, parent=sweep_span)
         else:
             tracer.record(
                 f"{verdict.left} x {verdict.right}", "pair",
@@ -641,25 +554,24 @@ def _solve_parallel(
                 winner=win_lane, loser=lose_lane,
             )
 
-    def settle(slot: int, verdict, task: Task, pid, elapsed,
-               span_obj) -> None:
-        """Resolve a pair from a worker result, portfolio-aware."""
-        pending[:] = [entry for entry in pending if entry[0][0] != slot]
+    def accept(slot: int, verdict, task: Task, pid, elapsed, span,
+               losers: dict) -> None:
+        """Resolve a pair with a lane's verdict; in portfolio mode the
+        other finished lanes in ``losers`` become cross-check samples."""
         extra = {"portfolio_win": task[4]} if portfolio else None
-        emit_pair_span(task, verdict, pid, elapsed, span_obj, extra=extra)
+        emit_pair_span(task, verdict, pid, elapsed, span, extra=extra)
         resolved.add(slot)
         commit(slot, verdict, task)
         if not portfolio:
-            return
+            return  # the pair's only task is the one that answered
         winners[slot] = (verdict, task[4])
-        # A sibling candidate that already finished is the race loser.
-        for lane, (cv, ctask, cpid, celapsed, cspan) in (
-                candidates.pop(slot, {}).items()):
+        for lane, (cv, ctask, cpid, celapsed, cspan) in losers.items():
             emit_pair_span(ctask, cv, cpid, celapsed, cspan,
                            route="portfolio-loser")
             emit_sample(verdict, task[4], cv, lane)
-        # Cancel the sibling lane still racing on a worker; the respawn
-        # sweep below restores pool capacity.
+        # Cancel the sibling lane: drop it from the queue, or reap the
+        # worker still racing it (the respawn sweep restores capacity).
+        pending[:] = [entry for entry in pending if entry[0][0] != slot]
         for wid in [w for w, st in workers.items()
                     if st["task"] is not None and st["task"][0] == slot
                     and st["task"] is not task]:
@@ -667,54 +579,89 @@ def _solve_parallel(
 
     def finalize_candidates(slot: int) -> None:
         """Every lane finished without a definitive answer: keep the
-        preferred lane's verdict (enum first — the same tie-break as the
-        sequential portfolio), cross-check against the rest."""
+        preferred lane's verdict (enum first — the same tie-break as
+        ``verify_pair(engine="portfolio")``), cross-check the rest."""
         cands = candidates.pop(slot, {})
-        if not cands:
-            return
-        chosen = next(lane for lane in PORTFOLIO_LANES if lane in cands)
-        verdict, task, pid, elapsed, span_obj = cands.pop(chosen)
-        pending[:] = [entry for entry in pending if entry[0][0] != slot]
-        emit_pair_span(task, verdict, pid, elapsed, span_obj,
-                       extra={"portfolio_win": chosen})
-        resolved.add(slot)
-        commit(slot, verdict, task)
-        winners[slot] = (verdict, chosen)
-        for lane, (cv, ctask, cpid, celapsed, cspan) in cands.items():
-            emit_pair_span(ctask, cv, cpid, celapsed, cspan,
-                           route="portfolio-loser")
-            emit_sample(verdict, chosen, cv, lane)
+        if cands:
+            chosen = next(lane for lane in PORTFOLIO_LANES if lane in cands)
+            accept(slot, *cands.pop(chosen), losers=cands)
 
-    def fail_task(task: Task, kind: str, detail: str, now: float) -> None:
-        """Classify a failed worker attempt: retry or degrade to unknown."""
-        slot = task[0]
+    def fail_task(task: Task, kind: str, detail: str, stage: str) -> None:
+        """Classify a failed attempt: retry or degrade to unknown.
+
+        Either lane's failed attempt leaves one ``pair-failure`` record;
+        no lane ships a ``pair`` span for it (a crashed worker cannot)."""
+        slot, i, j, attempt, task_engine, _level = task
         if slot in resolved:
             return
-        record_failure(task, kind, detail, "worker")
+        p, q = effectful[i], effectful[j]
+        tracer.record(
+            f"{p.name} x {q.name}", "pair-failure",
+            left=p.name, right=q.name, failure=kind,
+            attempt=attempt + 1, stage=stage, engine=task_engine,
+            detail=cap_text(detail),
+        )
         next_task = plan_retry(task, kind, policy, base_engine=engine)
-        if next_task is None:
-            if portfolio:
-                lanes[slot][task[4]] = "dead"
-                if any(s == "live" for s in lanes[slot].values()):
-                    return  # the other lane may still answer
-                if slot in candidates:
-                    finalize_candidates(slot)
-                    return
-            p, q = (analysis.effectful_paths[task[1]],
-                    analysis.effectful_paths[task[2]])
-            emit_unknown(slot, task[1], task[2], PairFailure(
-                kind, p.name, q.name, task[3] + 1, "worker",
-                cap_text(detail)))
-            resolved.add(slot)
-        else:
-            latest[slot] = next_task
-            pending.append([next_task,
-                            now + policy.backoff_for(task[3] + 1)])
+        if next_task is not None:
+            pending.append([next_task, time.monotonic()
+                            + policy.backoff_for(attempt + 1)])
+            return
+        if portfolio:
+            lanes[slot][task_engine] = "dead"
+            if any(s == "live" for s in lanes[slot].values()):
+                return  # the other lane may still answer
+            if slot in candidates:
+                finalize_candidates(slot)
+                return
+        emit_unknown(slot, i, j, PairFailure(
+            kind, p.name, q.name, attempt + 1, stage, cap_text(detail)))
+        resolved.add(slot)
+
+    def handle(msg: tuple, stage: str) -> None:
+        """Route one lane message: settle, park, retry or discard."""
+        kind_tag, task, *payload = msg
+        slot = task[0]
+        if slot in resolved:
+            # Stale: the watchdog already gave up on this pair — or, in
+            # a portfolio race, the sibling lane already won, in which
+            # case this late finisher is the loser and still yields a
+            # free agreement sample.
+            if portfolio and slot in winners and kind_tag == "ok":
+                _, loser, pid, elapsed, span = payload[0]
+                emit_pair_span(task, loser, pid, elapsed, span,
+                               route="portfolio-loser")
+                emit_sample(*winners[slot], loser, task[4])
+            return
+        if kind_tag == "fail":
+            fail_task(task, payload[0], payload[1], stage)
+            return
+        _, verdict, pid, elapsed, span = payload[0]
+        if portfolio and not definitive(verdict):
+            # Park it: the sibling lane may still produce a definitive
+            # answer worth waiting for.
+            lanes[slot][task[4]] = "done"
+            candidates.setdefault(slot, {})[task[4]] = (
+                verdict, task, pid, elapsed, span)
+            if not any(s == "live" for s in lanes[slot].values()):
+                finalize_candidates(slot)
+            return
+        accept(slot, verdict, task, pid, elapsed, span,
+               losers=candidates.pop(slot, {}))
+
+    def solve_in_process(task: Task) -> tuple:
+        """The in-process lane: one attempt in the parent, answered with
+        the message a worker would send."""
+        try:
+            with deadline(deadline_s):
+                result = _attempt(task, effectful, analysis.schema, config,
+                                  chaos, traced, stage="serial")
+        except Exception as exc:
+            return ("fail", task, *classify_exception(exc))
+        return ("ok", task, result)
 
     def reap(wid: int) -> Task | None:
         """Remove a dead/killed worker, returning its in-flight task."""
         state = workers.pop(wid)
-        task = state["task"]
         proc = state["proc"]
         if proc.is_alive():
             proc.terminate()
@@ -723,171 +670,167 @@ def _solve_parallel(
                 proc.kill()
                 proc.join(0.2)
         state["conn"].close()
-        return task
+        return state["task"]
 
-    try:
-        ctx = multiprocessing.get_context("spawn")
-        schema_json = json.dumps(schema_to_obj(analysis.schema))
-        paths_json = json.dumps(
-            [path_to_obj(p) for p in analysis.effectful_paths]
-        )
-        init_args = (schema_json, paths_json, dataclasses.asdict(config),
-                     engine, traced, chaos.to_obj() if chaos else None)
-        next_wid = 0
+    def spawn() -> None:
+        nonlocal spawned
+        parent_conn, child_conn = ctx.Pipe()
+        proc = ctx.Process(target=_worker_main,
+                           args=(child_conn, init_args), daemon=True)
+        proc.start()
+        child_conn.close()  # parent's copy; needed for EOF detection
+        workers[spawned] = {"proc": proc, "conn": parent_conn,
+                            "task": None, "deadline": 0.0}
+        spawned += 1
 
-        def spawn() -> None:
-            nonlocal next_wid
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(target=_worker_main,
-                               args=(child_conn, init_args), daemon=True)
-            proc.start()
-            child_conn.close()  # parent's copy; needed for EOF detection
-            workers[next_wid] = {"proc": proc, "conn": parent_conn,
-                                 "task": None, "deadline": 0.0}
-            next_wid += 1
+    def drive_pool() -> None:
+        """One round of the pool: assign, collect, watchdog, respawn."""
+        nonlocal respawns, results_seen
+        now = time.monotonic()
+        # Assign ready work (past its backoff) to idle workers.
+        for state in workers.values():
+            if state["task"] is not None:
+                continue
+            index = next((k for k, (_, not_before) in enumerate(pending)
+                          if not_before <= now), None)
+            if index is None:
+                break
+            task, _ = pending.pop(index)
+            try:
+                state["conn"].send(task)
+            except OSError:
+                # Worker died while idle; put the task back — the
+                # death sweep below reaps and respawns.
+                pending.insert(0, [task, now])
+                continue
+            state["task"] = task
+            state["deadline"] = now + deadline_s
 
-        for _ in range(n_workers):
+        # Collect results from busy workers (EOF = worker death).
+        busy = {id(state["conn"]): wid for wid, state in workers.items()
+                if state["task"] is not None}
+        if busy:
+            ready = multiprocessing.connection.wait(
+                [workers[wid]["conn"] for wid in busy.values()],
+                timeout=0.05)
+        else:
+            ready = []
+            if pending:
+                time.sleep(0.01)  # backoff gap with no one to watch
+        for conn in ready:
+            wid = busy[id(conn)]
+            state = workers.get(wid)
+            if state is None:
+                continue  # a portfolio lane cancelled earlier this round
+            try:
+                msg = conn.recv()
+            except (EOFError, OSError):
+                task = reap(wid)
+                if task is not None:
+                    fail_task(task, CRASH, f"worker exited with code "
+                              f"{state['proc'].exitcode}", "worker")
+                continue
+            state["task"] = None
+            results_seen += 1
+            if (chaos is not None and chaos.pool_fail_after is not None
+                    and results_seen > chaos.pool_fail_after):
+                # The pool dies with this result undelivered.
+                pending.append([msg[1], 0.0])
+                raise RuntimeError("chaos: injected pool failure")
+            if msg[0] == "ok":
+                slot, verdict_obj, pid, elapsed, span_obj = msg[2]
+                span = (obs.span_from_obj(span_obj) if span_obj is not None
+                        else None)
+                msg = ("ok", msg[1], (slot, verdict_from_obj(verdict_obj),
+                                      pid, elapsed, span))
+            handle(msg, "worker")
+
+        # Watchdog: kill workers past the per-pair deadline.  The kill,
+        # not the alarm, is the worker-side deadline — a solver wedged
+        # in native search never checks a flag.
+        now = time.monotonic()
+        for wid in [w for w, state in workers.items()
+                    if state["task"] is not None and now > state["deadline"]]:
+            task = reap(wid)
+            fail_task(task, TIMEOUT, f"watchdog killed worker after "
+                      f"{deadline_s:.1f}s deadline", "worker")
+
+        # Reap workers that died while idle (rare: init crash).
+        for wid in [w for w, state in workers.items()
+                    if not state["proc"].is_alive()]:
+            task = reap(wid)
+            if task is not None:
+                fail_task(task, CRASH, "worker died unexpectedly", "worker")
+
+        # Respawn capacity while unfinished work remains.
+        if portfolio:
+            unfinished = sum(
+                1 for slot, lane_states in lanes.items()
+                if slot not in resolved
+                for status in lane_states.values() if status == "live")
+        else:
+            unfinished = len(queue) - len(resolved)
+        while len(workers) < min(n_workers, unfinished):
             spawn()
+            respawns += 1
 
-        pending: list[list] = [[task, 0.0] for task in work]
-        while len(resolved) < len(queue):
-            now = time.monotonic()
-            # Assign ready work (past its backoff) to idle workers.
-            for state in workers.values():
-                if state["task"] is not None:
-                    continue
-                index = next((k for k, (_, not_before) in enumerate(pending)
-                              if not_before <= now), None)
-                if index is None:
-                    break
-                task, _ = pending.pop(index)
-                try:
-                    state["conn"].send(task)
-                except OSError:
-                    # Worker died while idle; put the task back — the
-                    # death sweep below reaps and respawns.
-                    pending.insert(0, [task, now])
-                    continue
-                state["task"] = task
-                state["deadline"] = now + deadline_s
-
-            # Collect results from busy workers (EOF = worker death).
-            busy_conns = {id(state["conn"]): wid
-                          for wid, state in workers.items()
-                          if state["task"] is not None}
-            if busy_conns:
-                ready = multiprocessing.connection.wait(
-                    [workers[wid]["conn"] for wid in busy_conns.values()],
-                    timeout=0.05)
-            else:
-                ready = []
-                if pending:
-                    time.sleep(0.01)  # backoff gap with no one to watch
-            for conn in ready:
-                wid = busy_conns[id(conn)]
-                state = workers[wid]
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    task = reap(wid)
-                    exitcode = state["proc"].exitcode
-                    if task is not None:
-                        fail_task(task, CRASH,
-                                  f"worker exited with code {exitcode}",
-                                  time.monotonic())
-                    continue
-                state["task"] = None
-                results_seen += 1
-                if (chaos is not None and chaos.pool_fail_after is not None
-                        and results_seen > chaos.pool_fail_after):
-                    raise RuntimeError("chaos: injected pool failure")
-                kind_tag, task, *payload = msg
-                slot = task[0]
-                if slot in resolved:
-                    # Stale: the watchdog already gave up on this pair —
-                    # or, in a portfolio race, the sibling lane already
-                    # won, in which case this late finisher is the loser
-                    # and still yields a free agreement sample.
-                    if portfolio and slot in winners and kind_tag == "ok":
-                        _, verdict_obj, pid, elapsed, span_obj = payload[0]
-                        loser = verdict_from_obj(verdict_obj)
-                        emit_pair_span(task, loser, pid, elapsed, span_obj,
-                                       route="portfolio-loser")
-                        win_verdict, win_lane = winners[slot]
-                        emit_sample(win_verdict, win_lane, loser, task[4])
-                    continue
-                if kind_tag == "fail":
-                    fail_task(task, payload[0], payload[1], time.monotonic())
-                    continue
-                _, verdict_obj, pid, elapsed, span_obj = payload[0]
-                verdict = verdict_from_obj(verdict_obj)
-                if portfolio and not definitive(verdict):
-                    # Park it: the sibling lane may still produce a
-                    # definitive answer worth waiting for.
-                    lanes[slot][task[4]] = "done"
-                    candidates.setdefault(slot, {})[task[4]] = (
-                        verdict, task, pid, elapsed, span_obj)
-                    if not any(s == "live" for s in lanes[slot].values()):
-                        finalize_candidates(slot)
-                    continue
-                settle(slot, verdict, task, pid, elapsed, span_obj)
-
-            # Watchdog: kill workers past the per-pair deadline.  The
-            # kill, not the alarm, is the worker-side deadline — a solver
-            # wedged in native search never checks a flag.
-            now = time.monotonic()
-            for wid in [w for w, state in workers.items()
-                        if state["task"] is not None
-                        and now > state["deadline"]]:
-                task = reap(wid)
-                if task is not None:
-                    fail_task(task, TIMEOUT,
-                              f"watchdog killed worker after "
-                              f"{deadline_s:.1f}s deadline", now)
-
-            # Reap workers that died while idle (rare: init crash).
-            for wid in [w for w, state in workers.items()
-                        if not state["proc"].is_alive()]:
-                task = reap(wid)
-                if task is not None:
-                    fail_task(task, CRASH, "worker died unexpectedly",
-                              time.monotonic())
-
-            # Respawn capacity while unfinished work remains.
-            if portfolio:
-                unfinished = sum(
-                    1 for slot, lane_states in lanes.items()
-                    if slot not in resolved
-                    for status in lane_states.values() if status == "live")
-            else:
-                unfinished = len(queue) - len(resolved)
-            want = min(n_workers, unfinished)
-            while len(workers) < want:
-                spawn()
-                respawns += 1
-
-        sweep_span.set(mode="parallel", jobs_used=n_workers,
-                       respawns=respawns)
-        return []
-    except SweepAborted:
-        raise  # injected parent crash: never swallowed into a fallback
-    except Exception as exc:  # pool creation failed or the drive loop died
+    def fall_back(exc: Exception) -> None:
+        """The pool failed: record why, reap it, requeue its in-flight
+        tasks at their current attempt state for the in-process lane."""
+        nonlocal pooled
         in_flight = sorted(
-            f"{analysis.effectful_paths[state['task'][1]].name} x "
-            f"{analysis.effectful_paths[state['task'][2]].name}"
+            f"{effectful[state['task'][1]].name} x "
+            f"{effectful[state['task'][2]].name}"
             for state in workers.values() if state["task"] is not None)
         reason = cap_text(f"{type(exc).__name__}: {exc}")
         if in_flight:
             reason += "; in flight: " + cap_text(", ".join(in_flight))
         sweep_span.set(mode="serial", jobs_used=1, fallback_reason=reason,
                        respawns=respawns)
-        if portfolio:
-            # Lane attempt state does not translate to the sequential
-            # form; fall back to fresh ``portfolio`` tasks per pair.
-            return sorted((t for t in queue if t[0] not in resolved),
-                          key=lambda t: t[0])
-        return sorted((latest[slot] for slot in latest
-                       if slot not in resolved), key=lambda t: t[0])
+        for wid in list(workers):
+            task = reap(wid)
+            if task is not None:
+                pending.append([task, 0.0])
+        # Sweep order, and a portfolio pair's enum lane before its SMT
+        # lane — the in-process lane's order.
+        pending.sort(key=lambda entry: (entry[0][0],
+                                        entry[0][4] != PORTFOLIO_LANES[0]))
+        pooled = False
+
+    spawned = 0
+    try:
+        if pooled:
+            try:
+                ctx = multiprocessing.get_context("spawn")
+                init_args = (
+                    json.dumps(schema_to_obj(analysis.schema)),
+                    json.dumps([path_to_obj(p) for p in effectful]),
+                    dataclasses.asdict(config), traced,
+                    chaos.to_obj() if chaos else None)
+                for _ in range(n_workers):
+                    spawn()
+            except Exception as exc:  # pool creation failed
+                fall_back(exc)
+        while len(resolved) < len(queue):
+            if pooled:
+                try:
+                    drive_pool()
+                except SweepAborted:
+                    raise  # injected parent crash: never a fallback
+                except Exception as exc:  # the drive loop died
+                    fall_back(exc)
+                continue
+            now = time.monotonic()
+            index = next((k for k, (_, not_before) in enumerate(pending)
+                          if not_before <= now), None)
+            if index is None:  # every queued retry is still backing off
+                time.sleep(min(nb for _, nb in pending) - now)
+                continue
+            task, _ = pending.pop(index)
+            handle(solve_in_process(task), "serial")
+        if pooled:
+            sweep_span.set(mode="parallel", jobs_used=n_workers,
+                           respawns=respawns)
     finally:
         for wid in list(workers):
             state = workers[wid]

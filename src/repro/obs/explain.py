@@ -290,9 +290,9 @@ def explain_pair(
     through the *enum* backend — witnesses must be concretely replayable
     through the reference interpreter, and the two backends agree on
     verdicts."""
-    from ..engine.reduction import rw_footprint
+    from ..engine.reduction import prune_pair, rw_footprint
     from ..verifier.enumcheck import CheckConfig, PairChecker
-    from ..verifier.runner import PRUNE_RW, classify_pair
+    from ..verifier.runner import PRUNE_RW
     import time
 
     config = config or CheckConfig()
@@ -313,7 +313,7 @@ def explain_pair(
                      f"outside the verification sweep.")
         return "\n".join(lines)
 
-    classified = classify_pair(p, q, analysis.schema, config, rw=True)
+    classified = prune_pair(p, q, analysis.schema, config)
     if classified is not None:
         verdict, tag = classified
         if tag == "disjoint":

@@ -207,14 +207,15 @@ class Tracer:
         self._emit(s, span_id, parent_id)
         return s
 
-    def graft(self, obj: dict, parent: Span | None = None) -> Span:
-        """Attach a serialized span tree (e.g. from a worker process).
+    def graft(self, obj: "dict | Span", parent: Span | None = None) -> Span:
+        """Attach a finished span tree: serialized (e.g. from a worker
+        process) or a live one built on another tracer.
 
         The grafted spans are re-emitted to the ring/sink under fresh ids,
         so a JSONL trace of a parallel sweep contains the worker-side
         spans too.
         """
-        span = span_from_obj(obj)
+        span = obj if isinstance(obj, Span) else span_from_obj(obj)
         target = parent if parent is not None else self.current_span
         if target is None:
             self.roots.append(span)

@@ -163,8 +163,6 @@ def live_pair_fingerprints(
     analysis: AnalysisResult,
     config: CheckConfig,
     engine: str = "enum",
-    *,
-    reduce: bool = True,
 ) -> set[str]:
     """The pair fingerprints a sweep over ``analysis`` would reference —
     the scheduler's ``live`` set, reproduced for out-of-sweep pruning
@@ -174,7 +172,7 @@ def live_pair_fingerprints(
     set is exact under reduction too: class members keep their own
     fingerprints live (they cache under them), rw-pruned pairs do not."""
     fingerprints = FingerprintContext(analysis.schema, config, engine)
-    plan = plan_sweep(analysis, config, engine=engine, reduce=reduce,
+    plan = plan_sweep(analysis, config, engine=engine,
                       fingerprints=fingerprints)
     return plan.live_fingerprints()
 
@@ -192,12 +190,10 @@ class VerificationService:
         cache_dir: str | None = None,
         poll_interval_s: float = DEFAULT_POLL_INTERVAL_S,
         prune: bool = True,
-        reduce: bool = True,
         registry: MetricsRegistry | None = None,
     ):
         self.config = config or CheckConfig()
         self.engine = engine
-        self.reduce = reduce
         self.jobs = jobs
         self.cache_dir = str(cache_dir or DEFAULT_CACHE_DIR)
         self.poll_interval_s = poll_interval_s
@@ -255,8 +251,7 @@ class VerificationService:
         fingerprints = FingerprintContext(
             analysis.schema, self.config, self.engine)
         plan = plan_sweep(analysis, self.config, engine=self.engine,
-                          reduce=self.reduce, cache=cache,
-                          fingerprints=fingerprints)
+                          cache=cache, fingerprints=fingerprints)
         return (plan.invalidated(), plan.live_fingerprints(),
                 len(plan.pairs), plan.classes, plan.shared)
 
@@ -278,13 +273,12 @@ class VerificationService:
                 report = run_pair_sweep(
                     analysis, self.config, engine=self.engine,
                     jobs=self.jobs, use_cache=True,
-                    cache_dir=self.cache_dir, reduce=self.reduce,
+                    cache_dir=self.cache_dir,
                 )
                 pruned = 0
                 if self.prune:
-                    # Prune *after* the sweep (not via prune_cache=True)
-                    # so the removal count is observable in the cycle
-                    # stats and the metrics.
+                    # Prune *after* the sweep so the removal count is
+                    # observable in the cycle stats and the metrics.
                     cache = ResultCache(self.cache_dir, analysis.app_name)
                     pruned = cache.prune(live)
                     cache.flush()

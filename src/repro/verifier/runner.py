@@ -12,10 +12,12 @@ restriction set.  Fast paths keep the quadratic sweep tractable:
   spill-over) are disjoint cannot interact: both checks pass immediately.
 
 ``classify_pair`` resolves the fast layers without touching a solver;
-``solve_pair`` runs the actual checkers.  ``verify_pair`` composes the two.
-The whole-application sweep (``verify_application``) is executed by the
-scheduler in :mod:`repro.engine`, which adds pair memoization and a
-multiprocessing worker pool on top of these primitives.
+``solve_pair`` runs the actual checkers.  ``verify_pair`` composes the two
+and is the unpruned per-pair reference.  The whole-application sweep
+(``verify_application``) is executed by the scheduler in
+:mod:`repro.engine`, which adds read/write-disjointness pruning,
+signature-class sharing, pair memoization and a multiprocessing worker
+pool on top of these primitives.
 """
 
 from __future__ import annotations
@@ -51,18 +53,13 @@ def classify_pair(
     q: CodePath,
     schema: Schema,
     config: CheckConfig | None = None,
-    *,
-    rw: bool = False,
 ) -> tuple[PairVerdict, str] | None:
     """Resolve a pair through the solver-free fast layers.
 
     Returns ``(verdict, prune_tag)`` when one of the fast paths decides
-    the pair, or ``None`` when the pair needs actual solving.
-
-    ``rw`` additionally enables the column-level read/write disjointness
-    layer (:func:`repro.engine.reduction.rw_disjoint`) — finer than the
-    model-level footprint check, and gated behind the sweep's ``reduce``
-    flag so reduction-off sweeps reproduce the historical behavior."""
+    the pair, or ``None`` when the pair needs actual solving.  The
+    sweep adds the finer column-level read/write layer on top
+    (:func:`repro.engine.reduction.prune_pair`)."""
     config = config or CheckConfig()
     if p.conservative or q.conservative:
         why = p.name if p.conservative else q.name
@@ -95,19 +92,6 @@ def classify_pair(
                 detail="disjoint footprint",
             ))
         return verdict, PRUNE_DISJOINT
-    if rw:
-        # Lazy import: repro.engine imports this module at init time.
-        from ..engine.reduction import rw_disjoint
-
-        if rw_disjoint(p, q, schema):
-            verdict = _new_verdict(p, q)
-            for kind in ("commutativity", "semantic"):
-                _attach(verdict, CheckResult(
-                    p.name, q.name, kind, Outcome.PASS,
-                    detail="disjoint read/write footprints",
-                ))
-            verdict.provenance = {"source": "pruned", "tag": PRUNE_RW}
-            return verdict, PRUNE_RW
     return None
 
 
@@ -160,8 +144,8 @@ def solve_pair(
     ``engine`` selects the verification backend: ``"enum"`` (the bounded
     model finder over concrete states — the default), ``"smt"`` (the
     symbolic engine: Table-2 encoding + finite-domain solver), or
-    ``"portfolio"`` (both in sequence here, raced in the worker pool:
-    first definitive answer wins).  Enum and SMT are independent
+    ``"portfolio"`` (both in sequence here, raced by the scheduler's
+    lanes: first definitive answer wins).  Enum and SMT are independent
     implementations of the same checking rules and agree on the paper's
     benchmarks (see tests/test_smt_engine.py)."""
     config = config or CheckConfig()
@@ -195,66 +179,17 @@ def _solve_portfolio(
     """The portfolio engine's in-process form: lanes run in sequence.
 
     The enum lane runs first (cheaper on the common case); a definitive
-    answer short-circuits.  Otherwise the SMT lane gets its shot and the
-    two verdicts become a free cross-check agreement sample.  The chosen
-    verdict carries a transient ``portfolio_info`` attribute (winner
-    lane, agreement) that the scheduler translates into span attributes
-    and metrics — transient because this function only ever runs in the
-    parent process (the worker pool races real lane tasks instead)."""
-    lane_verdicts: dict[str, PairVerdict] = {}
-    winner = PORTFOLIO_LANES[0]
+    answer short-circuits, otherwise the SMT lane gets its shot.  With no
+    definitive answer anywhere the enum verdict is kept — the same order
+    and tie-break as the scheduler's lanes."""
+    fallback = None
     for lane in PORTFOLIO_LANES:
-        lane_verdicts[lane] = solve_pair(p, q, schema, config, engine=lane)
-        if definitive(lane_verdicts[lane]):
-            winner = lane
-            break
-    else:
-        # No definitive answer anywhere: prefer the enum lane's verdict
-        # (same tie-break as the pool scheduler, keeping modes identical).
-        winner = PORTFOLIO_LANES[0]
-    verdict = lane_verdicts[winner]
-    agree = None
-    if len(lane_verdicts) == len(PORTFOLIO_LANES):
-        a, b = (lane_verdicts[lane] for lane in PORTFOLIO_LANES)
-        agree = portfolio_agreement(a, b)
-    verdict.portfolio_info = {"winner": winner, "agree": agree}
-    return verdict
-
-
-def solve_pair_guarded(
-    p: CodePath,
-    q: CodePath,
-    schema: Schema,
-    config: CheckConfig | None = None,
-    *,
-    engine: str = "enum",
-    deadline_s: float | None = None,
-    inject=None,
-):
-    """Run :func:`solve_pair` under a wall-clock deadline, never raising.
-
-    The serial-path counterpart of the scheduler's worker watchdog:
-    the attempt runs inside :func:`repro.engine.failures.deadline`
-    (``SIGALRM``-based, main-thread only) and any failure — deadline,
-    injected crash, solver error — is caught and classified instead of
-    propagating into the sweep.
-
-    Returns ``(verdict, None)`` on success or ``(None, (kind, detail))``
-    with ``kind`` from the failure taxonomy.  ``inject`` is the chaos
-    hook: a callable invoked right before solving (tests and the
-    ``engine-chaos`` harness only)."""
-    # Lazy import: repro.engine imports this module at package-init time.
-    from ..engine import failures
-
-    config = config or CheckConfig()
-    try:
-        with failures.deadline(deadline_s):
-            if inject is not None:
-                inject()
-            verdict = solve_pair(p, q, schema, config, engine=engine)
-    except Exception as exc:
-        return None, failures.classify_exception(exc)
-    return verdict, None
+        verdict = solve_pair(p, q, schema, config, engine=lane)
+        if definitive(verdict):
+            return verdict
+        if fallback is None:
+            fallback = verdict
+    return fallback
 
 
 def verify_pair(
@@ -289,14 +224,13 @@ def verify_application(
     use_cache: bool = False,
     cache_dir: str | None = None,
     pair_deadline_s: float | None = None,
-    reduce: bool = True,
 ) -> VerificationReport:
     """Verify every pair of effectful paths of an analyzed application.
 
     Execution is delegated to the :mod:`repro.engine` scheduler:
     ``jobs > 1`` dispatches the pair sweep across a fault-tolerant worker
     pool (a crashed or deadline-blown worker loses only its pair; total
-    pool failure falls back to serial execution), ``use_cache=True``
+    pool failure keeps draining in-process), ``use_cache=True``
     memoizes verdicts in a versioned on-disk cache under ``cache_dir``
     (default ``.noctua-cache/``) so re-verification only re-solves pairs
     whose content fingerprints changed, and ``pair_deadline_s`` bounds
@@ -309,7 +243,7 @@ def verify_application(
     return run_pair_sweep(
         analysis, config, engine=engine, jobs=jobs,
         use_cache=use_cache, cache_dir=cache_dir,
-        pair_deadline_s=pair_deadline_s, reduce=reduce,
+        pair_deadline_s=pair_deadline_s,
     )
 
 

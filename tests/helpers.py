@@ -1,9 +1,25 @@
-"""Shared fixtures: a small blog schema mirroring the paper's Figure 3."""
+"""Shared fixtures: a small blog schema mirroring the paper's Figure 3,
+and the unreduced reference sweep the scheduler is compared against."""
 
 from __future__ import annotations
 
 from repro.soir import DBState, RelationSchema, Schema, make_model
 from repro.soir.types import DATETIME, INT, STRING
+from repro.verifier import verify_pair
+from repro.verifier.restrictions import VerificationReport
+
+
+def reference_sweep(analysis, config, *, engine: str = "enum"
+                    ) -> VerificationReport:
+    """``verify_pair`` on every ``i <= j`` pair of effectful paths: no
+    rw-pruning, no class sharing, no cache, no lanes."""
+    paths = analysis.effectful_paths
+    report = VerificationReport(analysis.app_name)
+    for i, p in enumerate(paths):
+        for q in paths[i:]:
+            report.verdicts.append(verify_pair(p, q, analysis.schema,
+                                               config, engine=engine))
+    return report
 
 
 def blog_schema() -> Schema:

@@ -79,17 +79,6 @@ class TestVerify:
         assert "cache         : 10 hits, 0 misses" in out
         assert "reduction     : 6 classes" in out
 
-    def test_warm_cache_without_reduction(self, capsys, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        code, _ = run_cli(capsys, "verify", "smallbank", "--quick",
-                          "--no-reduce", "--cache-dir", cache_dir)
-        assert code == 0
-        code, out = run_cli(capsys, "verify", "smallbank", "--quick",
-                            "--no-reduce", "--cache-dir", cache_dir)
-        assert code == 0
-        assert "solver calls  : 0 " in out
-        assert "cache         : 10 hits, 0 misses" in out
-
 
 class TestTrace:
     def test_courseware_quick(self, capsys, tmp_path):

@@ -3,13 +3,15 @@
 Every test injects a seeded :class:`EngineChaosPlan` into a *real* pair
 sweep of the smallbank app and asserts the engine's failure contract:
 
-* a crashed / hung / erroring pair costs only itself — every other
-  verdict is byte-identical (modulo wall-clock fields) to a clean serial
-  sweep;
+* faults land on signature-class representatives (the pairs a sweep
+  hands to a solver), and a crashed / hung / erroring representative
+  costs only its class — every other verdict is byte-identical (modulo
+  wall-clock fields) to a clean serial sweep;
 * pairs the engine cannot decide within the retry budget degrade to
-  conservative ``unknown`` verdicts that restrict but are never cached;
-* a mid-sweep pool death falls back to serial execution with the
-  in-flight pairs recorded, and the report still matches;
+  conservative ``unknown`` verdicts that restrict but are never cached,
+  and the class members waiting on them degrade with them;
+* a mid-sweep pool death keeps draining through the in-process lane
+  with the in-flight pairs recorded, and the report still matches;
 * cache checkpoints make an aborted sweep resume warm;
 * corrupt cache files are quarantined, not trusted or destroyed.
 """
@@ -39,14 +41,6 @@ CFG = CHAOS_CHECK_CONFIG
 POLICY = RetryPolicy(max_attempts=2, backoff_s=0.01)
 
 
-def sweep(*args, **kwargs):
-    """Unreduced pair sweep: chaos injection and the cache-count
-    assertions here are per-pair, and verdict sharing would fan one
-    poisoned representative out to its whole signature class."""
-    kwargs.setdefault("reduce", False)
-    return run_pair_sweep(*args, **kwargs)
-
-
 @pytest.fixture(scope="module")
 def analysis():
     from repro.apps.smallbank import build_app
@@ -56,12 +50,18 @@ def analysis():
 
 @pytest.fixture(scope="module")
 def baseline(analysis):
-    return sweep(analysis, CFG)
+    return run_pair_sweep(analysis, CFG)
 
 
 @pytest.fixture(scope="module")
-def solver_pairs(analysis):
+def classes(analysis):
+    """Solver-bound representative -> its class (itself + members)."""
     return _solver_bound_pairs(analysis, CFG)
+
+
+@pytest.fixture(scope="module")
+def solver_pairs(classes):
+    return list(classes)
 
 
 def untimed(report):
@@ -74,9 +74,15 @@ def pair_names(analysis, coords):
     return paths[coords[0]].name, paths[coords[1]].name
 
 
-def assert_matches_except(analysis, baseline, chaotic, poisoned_coords):
-    """Poisoned pairs must be unknown; every other row byte-identical."""
-    poisoned = {pair_names(analysis, c) for c in poisoned_coords}
+def class_size(classes, reps):
+    return sum(len(classes[rep]) for rep in reps)
+
+
+def assert_matches_except(analysis, baseline, chaotic, classes,
+                          poisoned_reps):
+    """Poisoned classes must be unknown; every other row byte-identical."""
+    poisoned = {pair_names(analysis, member)
+                for rep in poisoned_reps for member in classes[rep]}
     rows = list(zip(untimed(baseline), untimed(chaotic)))
     assert rows, "empty report"
     for base_row, chaos_row in rows:
@@ -89,39 +95,44 @@ def assert_matches_except(analysis, baseline, chaotic, poisoned_coords):
 
 class TestPairIsolation:
     def test_crashing_pair_costs_only_itself(self, tmp_path, analysis,
-                                             baseline, solver_pairs):
+                                             baseline, classes,
+                                             solver_pairs):
         plan = EngineChaosPlan(crash=frozenset({solver_pairs[0]}))
-        report = sweep(
+        report = run_pair_sweep(
             analysis, CFG, jobs=2, chaos=plan, pair_deadline_s=5.0,
             retry=POLICY, use_cache=True, cache_dir=str(tmp_path),
         )
-        assert_matches_except(analysis, baseline, report, [solver_pairs[0]])
+        assert_matches_except(analysis, baseline, report, classes,
+                              [solver_pairs[0]])
         metrics = report.metrics
-        assert metrics["unknowns"] == 1
+        assert metrics["unknowns"] == class_size(classes, [solver_pairs[0]])
         assert metrics["failures"]["crash"] == POLICY.max_attempts
         assert metrics["retries"] == POLICY.max_attempts - 1
         assert metrics["workers_respawned"] >= 1
         assert metrics["mode"] == "parallel"  # the pool survived
         # the unknown was never cached: a chaos-free warm run re-solves
         # exactly that pair and then agrees with the baseline everywhere
-        warm = sweep(analysis, CFG, use_cache=True,
+        warm = run_pair_sweep(analysis, CFG, use_cache=True,
                               cache_dir=str(tmp_path))
         assert warm.metrics["solver_calls"] == 1
         assert untimed(warm) == untimed(baseline)
 
     def test_hanging_pair_is_killed_by_the_watchdog(self, analysis,
-                                                    baseline, solver_pairs):
+                                                    baseline, classes,
+                                                    solver_pairs):
         deadline_s = 1.5
         plan = EngineChaosPlan(hang=frozenset({solver_pairs[1]}),
                                hang_s=60.0)
         started = time.perf_counter()
-        report = sweep(
+        report = run_pair_sweep(
             analysis, CFG, jobs=2, chaos=plan, pair_deadline_s=deadline_s,
             retry=POLICY,
         )
         wall = time.perf_counter() - started
-        assert_matches_except(analysis, baseline, report, [solver_pairs[1]])
-        assert report.metrics["unknowns"] == 1
+        assert_matches_except(analysis, baseline, report, classes,
+                              [solver_pairs[1]])
+        assert report.metrics["unknowns"] == class_size(classes,
+                                                        [solver_pairs[1]])
         assert report.metrics["failures"]["timeout"] == POLICY.max_attempts
         # bounded: two killed attempts plus sweep work, nowhere near 60s
         assert wall < 10 * POLICY.max_attempts * deadline_s + 15.0
@@ -129,7 +140,7 @@ class TestPairIsolation:
     def test_flaky_crash_recovers_via_retry(self, analysis, baseline,
                                             solver_pairs):
         plan = EngineChaosPlan(flaky_crash=frozenset({solver_pairs[0]}))
-        report = sweep(
+        report = run_pair_sweep(
             analysis, CFG, jobs=2, chaos=plan, pair_deadline_s=5.0,
             retry=POLICY,
         )
@@ -139,20 +150,42 @@ class TestPairIsolation:
         assert report.metrics["failures"]["crash"] == 1
         assert report.metrics["retries"] == 1
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_shared_unknowns_are_neither_retries_nor_misses(
+            self, tmp_path, analysis, classes, jobs):
+        """A class member degrading with its failed representative is an
+        unknown, not a failed attempt and not a cache lookup."""
+        rep = next(r for r, members in classes.items() if len(members) > 1)
+        policy = RetryPolicy(max_attempts=3, backoff_s=0.01)
+        report = run_pair_sweep(
+            analysis, CFG, jobs=jobs, chaos=EngineChaosPlan(
+                crash=frozenset({rep})),
+            pair_deadline_s=5.0, retry=policy, use_cache=True,
+            cache_dir=str(tmp_path),
+        )
+        metrics = report.metrics
+        assert metrics["unknowns"] == len(classes[rep])
+        assert metrics["failures"] == {"crash": policy.max_attempts}
+        assert metrics["retries"] == policy.max_attempts - 1
+        # one miss per solver-bound representative, the poisoned one
+        # included; its members were never looked up as solver work
+        assert metrics["cache_misses"] == len(classes)
+
     def test_serial_path_enforces_the_same_contract(self, analysis,
-                                                    baseline, solver_pairs):
+                                                    baseline, classes,
+                                                    solver_pairs):
         plan = EngineChaosPlan(crash=frozenset({solver_pairs[0]}),
                                hang=frozenset({solver_pairs[2]}),
                                hang_s=60.0)
         started = time.perf_counter()
-        report = sweep(
+        report = run_pair_sweep(
             analysis, CFG, chaos=plan, pair_deadline_s=1.0, retry=POLICY,
         )
         wall = time.perf_counter() - started
-        assert_matches_except(analysis, baseline, report,
-                              [solver_pairs[0], solver_pairs[2]])
+        poisoned = [solver_pairs[0], solver_pairs[2]]
+        assert_matches_except(analysis, baseline, report, classes, poisoned)
         metrics = report.metrics
-        assert metrics["unknowns"] == 2
+        assert metrics["unknowns"] == class_size(classes, poisoned)
         assert metrics["failures"] == {"crash": POLICY.max_attempts,
                                        "timeout": POLICY.max_attempts}
         assert wall < 30.0  # SIGALRM interrupted the 60s hangs
@@ -161,9 +194,9 @@ class TestPairIsolation:
 class TestEngineFallback:
     def test_persistent_smt_error_falls_back_to_enum(self, tmp_path,
                                                      analysis, solver_pairs):
-        smt_baseline = sweep(analysis, CFG, engine="smt")
+        smt_baseline = run_pair_sweep(analysis, CFG, engine="smt")
         plan = EngineChaosPlan(smt_error=frozenset({solver_pairs[0]}))
-        report = sweep(
+        report = run_pair_sweep(
             analysis, CFG, engine="smt", chaos=plan, pair_deadline_s=30.0,
             retry=POLICY, use_cache=True, cache_dir=str(tmp_path),
         )
@@ -180,39 +213,57 @@ class TestEngineFallback:
         assert rows[name]["commutativity"] == base_rows[name]["commutativity"]
         assert rows[name]["semantic"] == base_rows[name]["semantic"]
         # tainted (computed on the fallback engine): never cached
-        warm = sweep(analysis, CFG, engine="smt", use_cache=True,
+        warm = run_pair_sweep(analysis, CFG, engine="smt", use_cache=True,
                               cache_dir=str(tmp_path))
         assert warm.metrics["solver_calls"] == 1
 
 
 class TestPoolDeath:
     def test_mid_sweep_pool_death_falls_back_to_serial(self, analysis,
-                                                       baseline,
+                                                       baseline, classes,
                                                        solver_pairs):
         plan = EngineChaosPlan(crash=frozenset({solver_pairs[0]}),
                                pool_fail_after=1)
-        report = sweep(
+        report = run_pair_sweep(
             analysis, CFG, jobs=2, chaos=plan, pair_deadline_s=5.0,
             retry=POLICY,
         )
         metrics = report.metrics
         assert metrics["mode"] == "serial"
         assert "injected pool failure" in metrics["fallback_reason"]
-        assert_matches_except(analysis, baseline, report, [solver_pairs[0]])
-        assert metrics["unknowns"] == 1
+        assert_matches_except(analysis, baseline, report, classes,
+                              [solver_pairs[0]])
+        assert metrics["unknowns"] == class_size(classes, [solver_pairs[0]])
 
     def test_fallback_reason_records_in_flight_pairs(self, analysis,
                                                      solver_pairs):
         # With every worker busy when the pool dies, the poison suspects
         # land in the fallback reason (capped, so traces stay bounded).
         plan = EngineChaosPlan(pool_fail_after=0)
-        report = sweep(
+        report = run_pair_sweep(
             analysis, CFG, jobs=2, chaos=plan, pair_deadline_s=5.0,
             retry=POLICY,
         )
         reason = report.metrics["fallback_reason"]
         assert "in flight:" in reason
         assert len(reason) < 500
+
+    def test_portfolio_pool_death_keeps_draining(self, analysis, baseline):
+        # Lane tasks keep their state across the fallback: every pair is
+        # decided once, by the same race rules, in the same loop.
+        plan = EngineChaosPlan(pool_fail_after=1)
+        report = run_pair_sweep(
+            analysis, CFG, engine="portfolio", jobs=2, chaos=plan,
+            pair_deadline_s=5.0, retry=POLICY,
+        )
+        metrics = report.metrics
+        assert metrics["mode"] == "serial"
+        assert "injected pool failure" in metrics["fallback_reason"]
+        assert metrics["unknowns"] == 0
+        assert sum(metrics["portfolio_wins"].values()) == \
+            metrics["solver_calls"] == baseline.metrics["solver_calls"]
+        assert report.to_json_obj()["restrictions"] == \
+            baseline.to_json_obj()["restrictions"]
 
     def test_pool_creation_failure_reports_reason(self, analysis, baseline,
                                                   monkeypatch):
@@ -223,7 +274,7 @@ class TestPoolDeath:
 
         monkeypatch.setattr(scheduler_module.multiprocessing,
                             "get_context", broken_context)
-        report = sweep(analysis, CFG, jobs=4)
+        report = run_pair_sweep(analysis, CFG, jobs=4)
         assert report.metrics["mode"] == "serial"
         assert "no spawn for you" in report.metrics["fallback_reason"]
         assert untimed(report) == untimed(baseline)
@@ -232,42 +283,46 @@ class TestPoolDeath:
 class TestCrashSafeCache:
     def test_aborted_sweep_resumes_from_checkpoints(self, tmp_path,
                                                     analysis, baseline,
-                                                    solver_pairs):
+                                                    classes, solver_pairs):
         plan = EngineChaosPlan(abort_after_solved=3)
         with pytest.raises(SweepAborted):
-            sweep(analysis, CFG, use_cache=True,
+            run_pair_sweep(analysis, CFG, use_cache=True,
                            cache_dir=str(tmp_path), checkpoint_every=1,
                            chaos=plan)
-        # the checkpointed prefix survives: the warm re-run replays it
+        # the checkpointed prefix survives — three representatives and
+        # the members they fanned out to: the warm re-run replays it
         # and re-solves only the tail
-        warm = sweep(analysis, CFG, use_cache=True,
+        warm = run_pair_sweep(analysis, CFG, use_cache=True,
                               cache_dir=str(tmp_path))
-        assert warm.metrics["cache_hits"] == 3
+        assert warm.metrics["cache_hits"] == class_size(classes,
+                                                        solver_pairs[:3])
         assert warm.metrics["solver_calls"] == len(solver_pairs) - 3
         assert untimed(warm) == untimed(baseline)
 
     def test_checkpoint_files_are_complete_snapshots(self, tmp_path,
-                                                     analysis):
+                                                     analysis, classes,
+                                                     solver_pairs):
         plan = EngineChaosPlan(abort_after_solved=2)
         with pytest.raises(SweepAborted):
-            sweep(analysis, CFG, use_cache=True,
+            run_pair_sweep(analysis, CFG, use_cache=True,
                            cache_dir=str(tmp_path), checkpoint_every=1,
                            chaos=plan)
         cache_file = (Path(tmp_path)
                       / f"{_safe_name(analysis.app_name)}.json")
         payload = json.loads(cache_file.read_text())  # parseable snapshot
-        assert len(payload["entries"]) == 2
+        assert len(payload["entries"]) == class_size(classes,
+                                                     solver_pairs[:2])
 
     def test_corrupt_cache_is_quarantined_mid_pipeline(self, tmp_path,
                                                        analysis, baseline):
-        sweep(analysis, CFG, use_cache=True,
+        run_pair_sweep(analysis, CFG, use_cache=True,
                        cache_dir=str(tmp_path))
         cache_file = (Path(tmp_path)
                       / f"{_safe_name(analysis.app_name)}.json")
         original = cache_file.read_text()
         cache_file.write_text("{broken" + original[:40])
         with pytest.warns(RuntimeWarning, match="quarantined"):
-            report = sweep(analysis, CFG, use_cache=True,
+            report = run_pair_sweep(analysis, CFG, use_cache=True,
                                     cache_dir=str(tmp_path))
         quarantined = cache_file.with_name(cache_file.name
                                            + QUARANTINE_SUFFIX)

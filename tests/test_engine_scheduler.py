@@ -46,6 +46,8 @@ from repro.verifier.runner import (
     PRUNE_ORDER,
 )
 
+from helpers import reference_sweep
+
 #: deterministic budget: decided by sample exhaustion, never by the clock
 CFG = CheckConfig(timeout_s=60.0, max_samples=60, max_exhaustive=800)
 
@@ -381,16 +383,20 @@ class TestScheduler:
         assert "no fork for you" in report.metrics["fallback_reason"]
         assert serial.restriction_pairs() == report.restriction_pairs()
 
-    @pytest.mark.parametrize("reduce", [False, True])
+    @pytest.mark.parametrize("pooled", [False, True])
     def test_edited_path_invalidates_only_its_pairs(self, tmp_path,
                                                     smallbank_analysis,
-                                                    reduce):
+                                                    pooled):
+        # the in-process lane (jobs=1) and the worker pool (jobs=2) share
+        # one cache-invalidation contract
         import copy
 
+        jobs = 2 if pooled else 1
         first = verify_application(
             smallbank_analysis, CFG, use_cache=True, cache_dir=str(tmp_path),
-            reduce=reduce,
+            jobs=jobs,
         )
+        assert first.metrics["mode"] == ("parallel" if pooled else "serial")
         assert first.metrics["cache_misses"] == first.metrics["solver_calls"]
         edited = copy.copy(smallbank_analysis)
         paths = list(smallbank_analysis.paths)
@@ -402,17 +408,54 @@ class TestScheduler:
         )
         edited.paths = paths
         second = verify_application(
-            edited, CFG, use_cache=True, cache_dir=str(tmp_path),
-            reduce=reduce,
+            edited, CFG, use_cache=True, cache_dir=str(tmp_path), jobs=jobs,
         )
         n = len(edited.effectful_paths)
         # only the victim's row/column re-computes: n pairs, the rest
-        # replay from cache.  Under reduction a re-computed pair may be
-        # served by class sharing instead of a fresh solve, so misses
-        # plus shared members cover the invalidated set.
+        # replay from cache.  A re-computed pair may be served by class
+        # sharing instead of a fresh solve, so misses plus shared
+        # members cover the invalidated set.
         recomputed = second.metrics["cache_misses"] + \
             second.metrics.get("shared", 0)
         assert recomputed == n
         assert second.metrics["cache_hits"] == \
             second.metrics["pairs_total"] - n - \
             second.metrics.get("pruned", 0)
+
+
+class TestInProcessLane:
+    """``jobs=1`` drains the one dispatcher through the in-process lane:
+    no spawn context is ever requested, and nothing falls back."""
+
+    @pytest.fixture
+    def no_spawn(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("jobs=1 must not create a process pool")
+
+        monkeypatch.setattr(scheduler_module.multiprocessing, "get_context",
+                            forbidden)
+
+    def test_cached_sweep_stays_in_process(self, tmp_path, no_spawn,
+                                           smallbank_analysis):
+        expected = reference_sweep(smallbank_analysis, CFG).to_json_obj()
+        for _ in range(2):  # cold, then warm
+            report = run_pair_sweep(smallbank_analysis, CFG, use_cache=True,
+                                    cache_dir=str(tmp_path))
+            assert report.metrics["mode"] == "serial"
+            assert report.metrics["fallback_reason"] == ""
+            assert report.to_json_obj()["restrictions"] == \
+                expected["restrictions"]
+
+    def test_portfolio_sweep_stays_in_process(self, no_spawn,
+                                              smallbank_analysis):
+        report = run_pair_sweep(smallbank_analysis, CFG, engine="portfolio")
+        metrics = report.metrics
+        assert metrics["mode"] == "serial"
+        assert metrics["fallback_reason"] == ""
+        assert report.to_json_obj()["restrictions"] == reference_sweep(
+            smallbank_analysis, CFG).to_json_obj()["restrictions"]
+        # the race outcome the sequential portfolio produced before the
+        # in-process lane existed: enum decides every representative
+        assert metrics["portfolio_wins"] == {"enum": 6}
+        assert metrics["portfolio_agreements"] == 0
+        assert metrics["portfolio_disagreements"] == 0

@@ -9,8 +9,9 @@ Covers the three layers that cut the O(n²) pair wall down to size:
 * the racing portfolio engine — serial and pooled, agreement samples;
 
 plus the headline acceptance property: for every builtin app the
-reduced sweep produces byte-identical restriction sets to the
-unreduced one, while issuing strictly fewer solver calls.
+sweep produces byte-identical restriction sets to the unreduced
+``verify_pair`` reference loop (serial, pooled and portfolio), while
+issuing strictly fewer solver calls.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.engine.reduction import (
     ROUTE_SOLVE,
     canonical_pair,
     plan_sweep,
+    prune_pair,
     renaming_between,
     rw_disjoint,
     rw_footprint,
@@ -39,13 +41,21 @@ from repro.soir.types import INT, STRING
 from repro.verifier import CheckConfig, verify_application, verify_pair
 from repro.verifier.runner import PRUNE_RW, classify_pair
 
-from helpers import blog_schema
+from helpers import blog_schema, reference_sweep
 
 #: fast but exact enough for the small builtin apps
 CFG = CheckConfig(timeout_s=30.0, max_samples=60, max_exhaustive=800)
 
 BUILTIN_APPS = ("todo", "postgraduation", "zhihu", "ownphotos",
                 "smallbank", "courseware")
+
+
+def reference_calls(analysis) -> int:
+    """Solver calls of the reference loop: the pairs ``classify_pair``
+    cannot decide."""
+    paths = analysis.effectful_paths
+    return sum(classify_pair(p, q, analysis.schema, CFG) is None
+               for i, p in enumerate(paths) for q in paths[i:])
 
 
 def build_builtin(name: str):
@@ -247,16 +257,18 @@ class TestRwFootprint:
         schema = two_counter_schema()
         p = setcol_path("p", "Alpha", "x")
         q = setcol_path("q", "Alpha", "y")
-        classified = classify_pair(p, q, schema, CFG, rw=True)
+        classified = prune_pair(p, q, schema, CFG)
         assert classified is not None and classified[1] == PRUNE_RW
+        # verify_pair is the unpruned reference: it really solves
+        assert classify_pair(p, q, schema, CFG) is None
         solved = verify_pair(p, q, schema, CFG)
         assert not solved.restricted
 
     def test_pruned_verdict_carries_provenance(self):
         schema = two_counter_schema()
-        verdict, tag = classify_pair(setcol_path("p", "Alpha", "x"),
-                                     setcol_path("q", "Alpha", "y"),
-                                     schema, CFG, rw=True)
+        verdict, tag = prune_pair(setcol_path("p", "Alpha", "x"),
+                                  setcol_path("q", "Alpha", "y"),
+                                  schema, CFG)
         assert tag == PRUNE_RW
         assert verdict.provenance == {"source": "pruned", "tag": PRUNE_RW}
         assert not verdict.restricted
@@ -274,16 +286,16 @@ def smallbank_analysis():
 
 class TestPlanSweep:
     def test_reduction_shrinks_the_solve_set(self, smallbank_analysis):
-        full = plan_sweep(smallbank_analysis, CFG, reduce=False)
-        reduced = plan_sweep(smallbank_analysis, CFG, reduce=True)
-        assert len(full.pairs) == len(reduced.pairs)
-        assert reduced.solver_calls < full.solver_calls
+        n = len(smallbank_analysis.effectful_paths)
+        reduced = plan_sweep(smallbank_analysis, CFG)
+        assert len(reduced.pairs) == n * (n + 1) // 2
+        assert reduced.solver_calls < reference_calls(smallbank_analysis)
         assert reduced.shared > 0
         assert reduced.classes == reduced.solver_calls
 
     def test_shared_members_point_at_solved_representatives(
             self, smallbank_analysis):
-        plan = plan_sweep(smallbank_analysis, CFG, reduce=True)
+        plan = plan_sweep(smallbank_analysis, CFG)
         by_slot = {p.slot: p for p in plan.pairs}
         shared = [p for p in plan.pairs if p.route == ROUTE_SHARED]
         assert shared
@@ -294,7 +306,7 @@ class TestPlanSweep:
             assert rep.slot < member.slot  # first member represents
 
     def test_shared_verdict_relabel(self, smallbank_analysis):
-        plan = plan_sweep(smallbank_analysis, CFG, reduce=True)
+        plan = plan_sweep(smallbank_analysis, CFG)
         by_slot = {p.slot: p for p in plan.pairs}
         member = next(p for p in plan.pairs if p.route == ROUTE_SHARED)
         rep = by_slot[member.rep_slot]
@@ -313,7 +325,7 @@ class TestPlanSweep:
     def test_preview_equals_actual_solver_calls(self, smallbank_analysis):
         """The daemon's invalidation preview and the sweep execute the
         same plan — the invariant SERVICE.md promises."""
-        plan = plan_sweep(smallbank_analysis, CFG, reduce=True)
+        plan = plan_sweep(smallbank_analysis, CFG)
         report = run_pair_sweep(smallbank_analysis, CFG)
         assert len(plan.invalidated()) == plan.solver_calls
         assert report.metrics["solver_calls"] == plan.solver_calls
@@ -327,28 +339,30 @@ class TestReductionProperty:
         for app in BUILTIN_APPS if app != "ownphotos"
     ])
     def test_reduced_sweep_is_byte_identical(self, app):
-        """Acceptance bar: reduction changes solver-call counts, never
-        restriction sets."""
+        """Acceptance bar: reduction and lanes change solver-call counts
+        and placement, never restriction sets."""
         analysis = analyze_application(build_builtin(app))
-        full = verify_application(analysis, CFG, reduce=False)
-        reduced = verify_application(analysis, CFG, reduce=True)
-        assert reduced.to_json_obj()["restrictions"] == \
-            full.to_json_obj()["restrictions"]
-        assert reduced.metrics["solver_calls"] <= full.metrics["solver_calls"]
+        reference = reference_sweep(analysis, CFG)
+        expected = reference.to_json_obj()["restrictions"]
+        for kwargs in ({}, {"jobs": 2}, {"engine": "portfolio"}):
+            reduced = run_pair_sweep(analysis, CFG, **kwargs)
+            assert reduced.to_json_obj()["restrictions"] == expected, kwargs
+            assert reduced.metrics["solver_calls"] <= \
+                reference_calls(analysis)
 
     @pytest.mark.slow
     def test_ownphotos_reduction_agrees_with_direct_solves(self):
         """The same byte-identity property for the largest builtin app
         (135 effectful paths, ~9k pairs), checked compositionally: a
-        full unreduced sweep re-solves ~5k pairs and takes minutes on
+        full reference loop re-solves ~5k pairs and takes minutes on
         one core, but route-``solve`` pairs issue literally identical
-        solver calls with reduction on or off, so only the pairs the
-        reduction layer *rewrites* carry any information — every shared
+        solver calls in the sweep and the reference, so only the pairs
+        the reduction layer *rewrites* carry any information — every shared
         member must agree with a direct solve of itself (via its
         representative's verdict), and rw-pruned pairs must come back
         unrestricted when actually solved."""
         analysis = analyze_application(build_builtin("ownphotos"))
-        plan = plan_sweep(analysis, CFG, reduce=True)
+        plan = plan_sweep(analysis, CFG)
         by_slot = {p.slot: p for p in plan.pairs}
 
         shared = [p for p in plan.pairs if p.route == ROUTE_SHARED]
@@ -451,7 +465,7 @@ class TestCacheSharing:
         # 2 pruned, 1 shared, 7 solved
         analysis = analyze_application(build_builtin("courseware"))
         fps = FingerprintContext(analysis.schema, CFG, "enum")
-        plan = plan_sweep(analysis, CFG, reduce=True, fingerprints=fps)
+        plan = plan_sweep(analysis, CFG, fingerprints=fps)
         live = plan.live_fingerprints()
         routed = {p.route for p in plan.pairs}
         assert {ROUTE_PRUNED, ROUTE_SHARED, ROUTE_SOLVE} <= routed
