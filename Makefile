@@ -3,7 +3,7 @@
 PYTHON ?= python3
 
 .PHONY: install test test-fast coverage bench bench-full bench-sweep \
-	bench-gate perfbench-counts examples chaos engine-chaos difftest \
+	bench-gate perfbench-counts perf-ab examples chaos engine-chaos difftest \
 	difftest-directed trace-demo metrics-demo serve-demo docs-lint clean
 
 install:
@@ -47,6 +47,16 @@ bench-gate:
 # be identical across runs and PYTHONHASHSEED values.
 perfbench-counts:
 	$(PYTHON) perfbench/check_counts.py
+
+# Alternating parent/change benchmark runs: per-metric medians, quartiles
+# and the change's win count (see tools/perf_ab.py).  PARENT must differ
+# from the working tree; after committing, pass e.g. PARENT=HEAD~1.
+PARENT ?= HEAD
+WORKLOAD ?= cold-serial
+PAIRS ?= 10
+perf-ab:
+	$(PYTHON) tools/perf_ab.py --parent $(PARENT) --workload $(WORKLOAD) \
+		--pairs $(PAIRS)
 
 chaos:
 	$(PYTHON) -m repro chaos postgraduation --seed 3 --ops 200

@@ -160,7 +160,7 @@ class ConcreteBackend:
         row = self.db.state.table(model.__name__).get(pk)
         if row is None:
             return None
-        return self._to_instance(model, ObjVal(model.__name__, dict(row)))
+        return self._to_instance(model, ObjVal(model.__name__, row))
 
     def get(self, qs: QuerySet):
         found = self.fetch(qs)

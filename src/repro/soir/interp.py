@@ -189,7 +189,7 @@ class Interpreter:
         obj = self.eval(e.obj)
         if not isinstance(obj, ObjVal):
             raise InterpError("singleton of non-object")
-        return QuerySetVal(obj.model, [obj.clone()])
+        return QuerySetVal(obj.model, [obj])
 
     def _eval_Deref(self, e: E.Deref) -> ObjVal:
         pk = self.eval(e.ref)
@@ -198,7 +198,7 @@ class Interpreter:
             if self.mode == "apply":
                 return self._ghost(e.model, pk)
             raise PathAborted(f"deref of missing {e.model}[{pk!r}]")
-        return ObjVal(e.model, dict(row))
+        return ObjVal(e.model, row)
 
     def _ghost(self, model_name: str, pk: object) -> ObjVal:
         """A deterministic stand-in for a dereferenced missing object."""
@@ -217,7 +217,7 @@ class Interpreter:
         qs = self.eval(e.qs)
         if not qs.objs:
             raise PathAborted("any() of empty query set")
-        return qs.objs[0].clone()
+        return qs.objs[0]
 
     def _eval_All(self, e: E.All) -> QuerySetVal:
         model = self.schema.model(e.model)
@@ -226,7 +226,7 @@ class Interpreter:
             self.state.table(e.model).items(),
             key=lambda item: order.get(item[0], 0),
         )
-        return QuerySetVal(e.model, [ObjVal(e.model, dict(r)) for _, r in rows])
+        return QuerySetVal(e.model, [ObjVal(e.model, r) for _, r in rows])
 
     def _eval_Filter(self, e: E.Filter) -> QuerySetVal:
         qs = self.eval(e.qs)
@@ -266,7 +266,7 @@ class Interpreter:
             dst_table = self.state.table(dst_model)
             dst_order = self.state.order.get(dst_model, {})
             current = [
-                ObjVal(dst_model, dict(dst_table[pk]))
+                ObjVal(dst_model, dst_table[pk])
                 for pk in sorted(dst_pks, key=lambda p: dst_order.get(p, 0))
                 if pk in dst_table
             ]
@@ -290,13 +290,13 @@ class Interpreter:
         qs = self.eval(e.qs)
         if not qs.objs:
             raise PathAborted("first() of empty query set")
-        return qs.objs[0].clone()
+        return qs.objs[0]
 
     def _eval_LastOf(self, e: E.LastOf) -> ObjVal:
         qs = self.eval(e.qs)
         if not qs.objs:
             raise PathAborted("last() of empty query set")
-        return qs.objs[-1].clone()
+        return qs.objs[-1]
 
     def _eval_Aggregate(self, e: E.Aggregate) -> object:
         qs = self.eval(e.qs)
@@ -547,11 +547,12 @@ def run_path(
     env: dict[str, object],
     schema: Schema,
 ) -> Outcome:
-    """Execute ``path`` with arguments ``env`` against a copy of ``state``.
+    """Execute ``path`` with arguments ``env`` against a clone of ``state``.
 
     This is *generation* semantics: guards are checked, and any abort means
-    the transaction rolls back (the outcome carries the untouched state).
-    The input state is never modified.
+    the transaction rolls back.  The input state is never modified: a
+    committed outcome carries the clone, an aborted one carries ``state``
+    itself (the same object; states are read-only values to callers).
     """
     working = state.clone()
     interp = Interpreter(schema, working, env)
@@ -559,7 +560,7 @@ def run_path(
         for cmd in path.commands:
             interp.exec(cmd)
     except PathAborted as abort:
-        return Outcome(False, state.clone(), abort.reason)
+        return Outcome(False, state, abort.reason)
     return Outcome(True, working, "")
 
 
@@ -569,14 +570,14 @@ def apply_path(
     env: dict[str, object],
     schema: Schema,
 ) -> DBState:
-    """Apply ``path``'s *effect* to a copy of ``state``.
+    """Apply ``path``'s *effect* to a clone of ``state``.
 
     This is *replication* semantics (paper §2.1): the side effect of an
     accepted request is propagated and applied at every replica without
     re-checking its guards — those were validated at the originating site.
     Guards are therefore skipped.  If the effect is not applicable at all
     (a referenced object vanished, a merge is ill-defined), the application
-    no-ops: the returned state equals the input.
+    no-ops and returns ``state`` itself.  The input is never modified.
     """
     working = state.clone()
     interp = Interpreter(schema, working, env, mode="apply")
@@ -586,7 +587,7 @@ def apply_path(
     except PathAborted:
         # Residual partiality (e.g. first() of an empty set feeding an
         # effect): the effect is inapplicable here and lands as a no-op.
-        return state.clone()
+        return state
     return working
 
 

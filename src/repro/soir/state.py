@@ -11,13 +11,18 @@ A :class:`DBState` is a concrete snapshot of the replicated database:
   order number (the decoupled order component of the paper's encoding,
   §4.2); and a per-model counter for assigning order to inserts.
 
-States are plain mutable containers; the interpreter copies them before
-executing a path so callers keep the original.
+Rows are immutable values.  A row dict stored in a state, like an
+:class:`ObjVal`'s ``fields``, is never written after it is created; every
+write replaces the whole row (``insert_row``, ``delete_row``) or goes
+through a container the state owns (``table()``, ``relation()``,
+``order``).  That contract lets :meth:`DBState.clone` copy only the
+containers and share the rows, and lets the interpreter hand stored rows
+out as object snapshots without copying them.  A replay works on a clone,
+so callers keep the original.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from .schema import Schema
@@ -44,11 +49,12 @@ class DBState:
         return state
 
     def clone(self) -> "DBState":
-        # Every path replay clones its input, so the copies stay in C
-        # (``map``/``zip``) rather than in per-container comprehensions.
+        """A copy of the containers; the (immutable) rows are shared.
+
+        Every path replay clones its input, so the copies stay in C
+        (``map``/``zip``) rather than in per-container comprehensions."""
         return DBState(
-            tables={m: dict(zip(t, map(dict.copy, t.values())))
-                    for m, t in self.tables.items()},
+            tables=dict(zip(self.tables, map(dict.copy, self.tables.values()))),
             assocs=dict(zip(self.assocs, map(set.copy, self.assocs.values()))),
             order=dict(zip(self.order, map(dict.copy, self.order.values()))),
             next_order=self.next_order.copy(),
@@ -67,7 +73,9 @@ class DBState:
         return pairs
 
     def insert_row(self, model: str, pk: object, row: dict[str, object]) -> None:
-        self.table(model)[pk] = dict(row)
+        """Store ``row`` as ``model``'s row ``pk``.  The state takes
+        ownership: neither side writes ``row`` afterwards."""
+        self.table(model)[pk] = row
         order = self.order.setdefault(model, {})
         if pk not in order:
             counter = self.next_order.get(model, 0)
@@ -105,30 +113,29 @@ class DBState:
         return (tables, assocs, order)
 
     def same_state(self, other: "DBState", *, with_order: bool = False) -> bool:
-        # Empty tables / association sets are materialized lazily by
-        # ``table()`` / ``relation()``; normalize them away (unless the
-        # plain comparison already agrees, the common case).
-        if self.tables == other.tables and self.assocs == other.assocs:
-            return not with_order or self.order == other.order
-        if {m: t for m, t in self.tables.items() if t} != {
-            m: t for m, t in other.tables.items() if t
-        }:
+        # Empty tables, association sets and order maps are materialized
+        # lazily by ``table()``, ``relation()`` and ``insert_row``/
+        # ``delete_row``, so they never distinguish two states.
+        if not (_same_nonempty(self.tables, other.tables)
+                and _same_nonempty(self.assocs, other.assocs)):
             return False
-        mine = {r: pairs for r, pairs in self.assocs.items() if pairs}
-        theirs = {r: pairs for r, pairs in other.assocs.items() if pairs}
-        if mine != theirs:
-            return False
-        if with_order:
-            return self.order == other.order
-        return True
+        return not with_order or _same_nonempty(self.order, other.order)
 
-    def deepcopy(self) -> "DBState":
-        return copy.deepcopy(self)
+
+def _same_nonempty(a: dict, b: dict) -> bool:
+    """``a == b`` ignoring keys mapped to an empty container (the plain
+    comparison, the common case, is tried first)."""
+    return a == b or {k: v for k, v in a.items() if v} == {
+        k: v for k, v in b.items() if v
+    }
 
 
 @dataclass
 class ObjVal:
-    """A runtime object value: a snapshot of one row of ``model``."""
+    """A runtime object value: a snapshot of one row of ``model``.
+
+    ``fields`` is never written after creation (it may be the stored row
+    itself); :meth:`replace` builds a new snapshot."""
 
     model: str
     fields: dict[str, object]
@@ -140,9 +147,6 @@ class ObjVal:
         new_fields = dict(self.fields)
         new_fields[name] = value
         return ObjVal(self.model, new_fields)
-
-    def clone(self) -> "ObjVal":
-        return ObjVal(self.model, dict(self.fields))
 
 
 @dataclass

@@ -446,9 +446,7 @@ class StateGenerator:
                             if len(probe) < 2:
                                 continue
                             for pk, v in zip(probe, (values[i], values[j])):
-                                table[pk][free] = v
-                                for other, pin in pinned.items():
-                                    table[pk][other] = pin
+                                table[pk] = {**table[pk], free: v, **pinned}
                             self._fix_unique_together(base)
                             if len(base.table(mname)) < 2:
                                 continue

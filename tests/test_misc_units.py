@@ -57,14 +57,42 @@ class TestHttp:
 
 
 class TestDBState:
-    def test_clone_is_deep_for_rows(self):
+    def test_clone_shares_rows_and_isolates_writes(self):
+        """Rows are immutable values, so a clone shares them; every write
+        replaces a row or edits a container the clone owns, so no write
+        on the clone reaches the original."""
         schema = blog_schema()
         state = blog_state(schema)
+        before = state.canonical(with_order=True)
+        next_order = dict(state.next_order)
         copy = state.clone()
-        copy.tables["Article"][1]["title"] = "mutated"
+        for model, table in state.tables.items():
+            assert copy.tables[model] is not table
+            assert all(copy.tables[model][pk] is row
+                       for pk, row in table.items())
+        assert all(copy.order[m] is not o for m, o in state.order.items())
+        assert all(copy.assocs[r] is not p for r, p in state.assocs.items())
+
+        copy.insert_row("Article", 1,
+                        {**state.tables["Article"][1], "title": "mutated"})
+        copy.insert_row("Article", 4, {"id": 4, "url": "a/4", "title": "D",
+                                       "content": "", "created": 400})
+        copy.delete_row("Comment", 10)
+        copy.delete_row("User", "mary")
+        copy.relation("Article.author").clear()
+        copy.relation("Comment.user").add((11, "nobody"))
+        copy.relation("New.relation").add((1, 2))
+        copy.table("NewModel")[1] = {"id": 1}
+        copy.order["Article"][2] = 99
+
+        assert copy.tables["Article"][1]["title"] == "mutated"
+        assert copy.next_order["Article"] == 4
         assert state.tables["Article"][1]["title"] == "Alpha"
-        copy.assocs["Article.author"].clear()
         assert state.assocs["Article.author"]
+        assert state.canonical(with_order=True) == before
+        assert state.next_order == next_order
+        assert "New.relation" not in state.assocs
+        assert "NewModel" not in state.tables
 
     def test_canonical_stable_under_key_order(self):
         schema = blog_schema()

@@ -364,8 +364,27 @@ class TestStateEquality:
 
     def test_data_difference_detected(self, schema, state):
         other = state.clone()
-        other.tables["Article"][1]["title"] = "X"
+        other.insert_row("Article", 1, {**state.tables["Article"][1],
+                                        "title": "X"})
         assert not state.same_state(other)
+        assert not other.same_state(state)
+        assert state.tables["Article"][1]["title"] == "Alpha"
+
+    def test_empty_order_maps_are_normalized(self):
+        """An order map emptied by ``delete_row`` (or materialized with no
+        rows) never distinguishes two states, with or without order."""
+        a = DBState()
+        a.insert_row("X", 1, {"id": 1})
+        a.delete_row("X", 1)
+        b = DBState()
+        assert a.same_state(b) and b.same_state(a)
+        assert a.same_state(b, with_order=True)
+        assert b.same_state(a, with_order=True)
+        c = DBState(order={"X": {}})
+        assert c.same_state(b, with_order=True)
+        assert b.same_state(c, with_order=True)
+        b.insert_row("X", 1, {"id": 1})
+        assert not a.same_state(b, with_order=True)
 
     def test_assoc_difference_detected(self, schema, state):
         other = state.clone()
