@@ -3,9 +3,9 @@
 For any pair of code paths, answers the question a restriction set alone
 cannot: *what concretely goes wrong if these two run concurrently?*  The
 explainer re-runs the bounded witness search structurally
-(:meth:`PairChecker.search_commutativity` /
-:meth:`~PairChecker.search_semantic`), then **replays the witness
-schedule through the SOIR reference interpreter** and renders:
+(:meth:`PairChecker.search`, one walk deciding both checks), then
+**replays the witness schedule through the SOIR reference interpreter**
+and renders:
 
 * the witness arguments and the common ancestor state ``S``;
 * for a commutativity failure — both application orders, the final state
@@ -354,10 +354,9 @@ def explain_pair(
         return "\n".join(lines)
 
     checker = PairChecker(p, q, analysis.schema, config)
-    deadline = time.perf_counter() + config.timeout_s
-    com_status, com_info = checker.search_commutativity(deadline)
-    deadline = time.perf_counter() + config.timeout_s
-    sem_status, sem_info = checker.search_semantic(deadline)
+    searched = checker.search(time.perf_counter() + 2 * config.timeout_s)
+    com_status, com_info = searched["commutativity"]
+    sem_status, sem_info = searched["semantic"]
 
     restricted = com_status != "pass" or sem_status != "pass"
     lines.append(f"verdict: {'RESTRICTED' if restricted else 'NOT RESTRICTED'}"
@@ -380,6 +379,11 @@ def explain_pair(
                      f"(examined {com_info['candidates']} commutativity and "
                      f"{sem_info['candidates']} semantic scenarios); the "
                      f"pair may run concurrently under PoR.")
+        for kind, info in (("commutativity", com_info),
+                           ("semantic", sem_info)):
+            lines.append(f"  {kind}: {info['exhaustive']} exhaustive + "
+                         f"{info['sampled']} sampled ({info['repeats']} "
+                         f"sampled repeats not replayed)")
     return "\n".join(lines).rstrip() + "\n"
 
 

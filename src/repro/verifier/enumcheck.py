@@ -14,6 +14,11 @@ A found witness is a *real* counterexample (it is produced by the reference
 interpreter, not an abstraction); absence of a witness within scope and
 budget counts as a pass, mirroring the paper's use of the SMT solver as a
 counterexample finder (§5.2).
+
+Both rules are decided in one walk over a deterministic candidate stream
+(:meth:`PairChecker.search`): each rule examines the candidates its own
+walk would and stops at its own first witness, and a sampled candidate
+already examined in the walk is counted but not replayed.
 """
 
 from __future__ import annotations
@@ -95,14 +100,14 @@ class PairChecker:
                                   unique_ids_distinct=self.config.unique_ids)
 
     # ------------------------------------------------------------------
-    # The candidate stream.  Both checks walk it in full, so everything
-    # it reads per candidate is resolved once per pair here; the stream
-    # itself is regenerated for each check, not buffered (a buffered
-    # stream raised peak RSS by about 15%).
+    # The candidate stream.  One walk (``search``) reads it once for both
+    # checks, so everything it reads per candidate is resolved once per
+    # pair here; the stream itself is generated as it is walked, not
+    # buffered (a buffered stream raised peak RSS by about 15%).
 
     @cached_property
     def canonical_states(self) -> list[DBState]:
-        """The scope's canonical suite, shared by both checks and the
+        """The scope's canonical suite, shared by the walk and the
         feasibility states (consumers never mutate a candidate state)."""
         return self.generator.canonical_states()
 
@@ -126,22 +131,25 @@ class PairChecker:
         return [(env_p, env_q, key(env_p), key(env_q))
                 for env_p, env_q in envs or ()]
 
-    def _exhaustive(self) -> Iterator[tuple[DBState, list]]:
-        """Canonical states x argument products, state-major: each state
-        with its slice of ``_env_plan``, ``max_exhaustive`` in all."""
-        if not self._env_plan:
-            return
-        budget = max(1, self.config.max_exhaustive)
-        for state in self.canonical_states:
-            chunk = self._env_plan[:budget]
-            yield state, chunk
-            budget -= len(chunk)
-            if budget <= 0:
-                return
+    def _candidates(self) -> Iterator[tuple]:
+        """Deterministic candidate stream: canonical states × exhaustive
+        argument products first, then seeded random sampling.
 
-    def _random(self) -> Iterator[tuple[DBState, dict, dict]]:
-        """Seeded random sampling: ``max_samples`` draws of a state and
-        both sides' arguments."""
+        Yields ``(state, env_p, env_q, memo_p, memo_q, sample_key)``.
+        ``memo_p``/``memo_q`` name each side's env among the candidates
+        sharing ``state``: a side's first-level result depends on its env
+        alone, so the walk memoizes it per state.  ``sample_key`` is None
+        for exhaustive candidates; for a sampled one it is the exact key
+        of its draws (see :func:`_draw_key`)."""
+        if self._env_plan:
+            budget = max(1, self.config.max_exhaustive)
+            for state in self.canonical_states:
+                chunk = self._env_plan[:budget]
+                for env_p, env_q, memo_p, memo_q in chunk:
+                    yield state, env_p, env_q, memo_p, memo_q, None
+                budget -= len(chunk)
+                if budget <= 0:
+                    break
         cfg = self.config
         # The per-pair stream must not depend on the process: built-in
         # ``hash()`` of strings is randomized per interpreter (PYTHONHASHSEED),
@@ -150,52 +158,19 @@ class PairChecker:
         # solve identically everywhere.
         pair_tag = zlib.crc32(f"{self.p.name}\x00{self.q.name}".encode())
         rng = random.Random(cfg.seed ^ pair_tag)
+        self_pair = self.p is self.q
         for _ in range(cfg.max_samples):
-            state = self.generator.random_state(rng)
+            outcomes: list[int] = []
+            state = self.generator.random_state(rng, outcomes)
             if state is None:
                 continue
-            env_p, env_q = self.sampler.draw(rng)
-            yield state, env_p, env_q
-
-    def _candidates(self) -> Iterator[tuple[DBState, dict, dict]]:
-        """Deterministic candidate stream: canonical states × exhaustive
-        argument products first, then seeded random sampling."""
-        for state, chunk in self._exhaustive():
-            for env_p, env_q, _, _ in chunk:
-                yield state, env_p, env_q
-        yield from self._random()
-
-    def _first_level(self, run) -> Iterator[tuple]:
-        """``_candidates`` with each side's own result of ``run``
-        (``apply_path`` or ``run_path``) from the candidate state:
-        ``(state, env_p, env_q, r_p, r_q)``.
-
-        A side's result depends on its env alone, so in the state-major
-        exhaustive phase it is memoized per env for the current state —
-        cutting the interpreter work for a full sweep roughly in half.
-        Random candidates each carry a fresh state: nothing is memoized,
-        except that a self-pair drawing equal envs runs once."""
-        p, q, schema = self.p, self.q, self.schema
-        memo_p: dict[int, object] = {}
-        memo_q = memo_p if p is q else {}
-        for state, chunk in self._exhaustive():
-            memo_p.clear()
-            memo_q.clear()
-            for env_p, env_q, key_p, key_q in chunk:
-                r_p = memo_p.get(key_p)
-                if r_p is None:
-                    r_p = memo_p[key_p] = run(p, state, env_p, schema)
-                r_q = memo_q.get(key_q)
-                if r_q is None:
-                    r_q = memo_q[key_q] = run(q, state, env_q, schema)
-                yield state, env_p, env_q, r_p, r_q
-        for state, env_p, env_q in self._random():
-            r_p = run(p, state, env_p, schema)
-            if p is q and env_p == env_q and _env_key(env_p) == _env_key(env_q):
-                r_q = r_p
-            else:
-                r_q = run(q, state, env_q, schema)
-            yield state, env_p, env_q, r_p, r_q
+            env_p, env_q = self.sampler.draw(rng, outcomes)
+            # Each sample carries a fresh state; only a self-pair drawing
+            # equal envs shares one first-level result between its sides.
+            same = (self_pair and env_p == env_q
+                    and _env_key(env_p) == _env_key(env_q))
+            memo_q = 0 if same else 1
+            yield state, env_p, env_q, 0, memo_q, _draw_key(outcomes)
 
     # ------------------------------------------------------------------
 
@@ -249,41 +224,169 @@ class PairChecker:
         cache[key] = ok
         return ok
 
-    def search_commutativity(self, deadline: float) -> tuple[str, dict]:
-        """The commutativity witness search, structurally.
+    def search(self, deadline: float) -> dict[str, tuple[str, dict]]:
+        """Both witness searches, structurally, in one walk over the
+        candidate stream.
 
-        Returns ``(status, info)`` where ``status`` is ``"fail"`` /
-        ``"pass"`` / ``"timeout"``.  On ``"fail"``, ``info`` carries the
-        *live* witness — the :class:`~repro.soir.state.DBState` and both
-        argument environments plus the two diverging result states — which
-        is what the restriction explainer (:mod:`repro.obs.explain`)
-        replays.  ``info["candidates"]`` always counts the scenarios
-        examined (surfaced on the ``solver-call`` trace span).
+        Returns ``{"commutativity": (status, info), "semantic": (status,
+        info)}`` where ``status`` is ``"fail"`` / ``"pass"`` /
+        ``"timeout"``.  Each check examines the stream in order and stops
+        at its own first witness, as a walk of its own would; the walk
+        ends once both are decided, at ``deadline``, or with the stream.
+        A sampled candidate whose key was already examined in this walk
+        is counted but not replayed: the same paths on the same inputs
+        give the same witness-free answer.
+
+        ``info`` counts the candidates a check examined, split into
+        ``exhaustive`` and ``sampled`` (``repeats``: the sampled ones
+        skipped as repeats), plus ``replay_s``, the seconds spent in that
+        check's own replays.  On ``"fail"`` it also carries the *live*
+        witness the restriction explainer (:mod:`repro.obs.explain`)
+        replays — the :class:`~repro.soir.state.DBState` and both
+        argument environments, plus for commutativity the two diverging
+        result states (``s_pq``/``s_qp``), and for semantic the committed
+        outcome of the invalidating side (``after``, on which the other
+        precondition now fails) and ``direction`` (``"Q invalidates P"``
+        / ``"P invalidates Q"``).
         """
+        p, q, schema = self.p, self.q, self.schema
+        # A check's counts are the stream's counts when it is decided.
+        exhaustive = sampled = repeats = 0
+
+        def counts(**witness) -> dict:
+            return {"exhaustive": exhaustive, "sampled": sampled,
+                    "repeats": repeats, **witness}
+
+        com_s = sem_s = 0.0
+        com = sem = None  # (status, info) once decided
+        end = "pass"
+        clock = time.perf_counter
         feasible_cache: dict = {}
-        candidates = 0
-        for state, env_p, env_q, a_p, a_q in self._first_level(apply_path):
-            if time.perf_counter() > deadline:
-                return "timeout", {"candidates": candidates}
-            candidates += 1
-            s_pq = apply_path(self.q, a_p, env_q, self.schema)
-            s_qp = apply_path(self.p, a_q, env_p, self.schema)
-            if s_pq.same_state(s_qp):
-                continue
-            # Divergence found — confirm both effects are generatable.
-            if not self._feasible(self.p, env_p, feasible_cache):
-                continue
-            if not self._feasible(self.q, env_q, feasible_cache):
-                continue
-            return "fail", {
-                "candidates": candidates,
-                "state": state,
-                "env_p": env_p,
-                "env_q": env_q,
-                "s_pq": s_pq,
-                "s_qp": s_qp,
-            }
-        return "pass", {"candidates": candidates}
+        seen: set = set()
+        # First-level results per memo key, for the current state.
+        apply_p: dict[int, DBState] = {}
+        apply_q = apply_p if p is q else {}
+        run_p: dict[int, object] = {}
+        run_q = run_p if p is q else {}
+        last_state = None
+        for state, env_p, env_q, memo_p, memo_q, sample_key in \
+                self._candidates():
+            now = clock()
+            if now > deadline:
+                end = "timeout"
+                break
+            if sample_key is None:
+                exhaustive += 1
+            else:
+                sampled += 1
+                if sample_key in seen:
+                    repeats += 1
+                    continue
+                seen.add(sample_key)
+            if state is not last_state:
+                last_state = state
+                for memo in (apply_p, apply_q, run_p, run_q):
+                    memo.clear()
+            if com is None:
+                a_p = apply_p.get(memo_p)
+                if a_p is None:
+                    a_p = apply_p[memo_p] = apply_path(p, state, env_p, schema)
+                a_q = apply_q.get(memo_q)
+                if a_q is None:
+                    a_q = apply_q[memo_q] = apply_path(q, state, env_q, schema)
+                s_pq = apply_path(q, a_p, env_q, schema)
+                s_qp = apply_path(p, a_q, env_p, schema)
+                # A divergence is a witness once both effects are shown
+                # generatable.
+                if (not s_pq.same_state(s_qp)
+                        and self._feasible(p, env_p, feasible_cache)
+                        and self._feasible(q, env_q, feasible_cache)):
+                    com = ("fail", counts(state=state, env_p=env_p,
+                                          env_q=env_q, s_pq=s_pq, s_qp=s_qp))
+                then = clock()
+                com_s += then - now
+                now = then
+            if sem is None:
+                out_p = run_p.get(memo_p)
+                if out_p is None:
+                    out_p = run_p[memo_p] = run_path(p, state, env_p, schema)
+                out_q = run_q.get(memo_q)
+                if out_q is None:
+                    out_q = run_q[memo_q] = run_path(q, state, env_q, schema)
+                after = direction = None
+                if out_p.committed and out_q.committed:
+                    if not run_path(p, out_q.state, env_p, schema).committed:
+                        after, direction = out_q.state, "Q invalidates P"
+                    elif not run_path(q, out_p.state, env_q,
+                                      schema).committed:
+                        after, direction = out_p.state, "P invalidates Q"
+                if direction is not None:
+                    sem = ("fail", counts(state=state, env_p=env_p,
+                                          env_q=env_q, after=after,
+                                          direction=direction))
+                sem_s += clock() - now
+            if com is not None and sem is not None:
+                break
+        out = {}
+        for kind, decided, replay_s in (("commutativity", com, com_s),
+                                        ("semantic", sem, sem_s)):
+            status, info = decided or (end, counts())
+            info["candidates"] = info["exhaustive"] + info["sampled"]
+            info["replay_s"] = replay_s
+            out[kind] = (status, info)
+        return out
+
+    @cached_property
+    def _searched(self) -> dict[str, tuple[str, dict]]:
+        """``search`` run on first use, under the pooled budget of both
+        checks (``2 * timeout_s``).  Each check's ``info`` gains its share
+        of the walk: ``wall_s`` is its own replay time plus half of the
+        shared time (candidate generation and bookkeeping), and ``cpu_s``
+        splits the walk's CPU time in the same proportion — the two
+        shares sum to the walk."""
+        start, cpu_start = time.perf_counter(), time.process_time()
+        searched = self.search(start + 2 * self.config.timeout_s)
+        wall = time.perf_counter() - start
+        cpu = time.process_time() - cpu_start
+        shared = wall - sum(info["replay_s"] for _, info in searched.values())
+        for _, info in searched.values():
+            info["wall_s"] = info["replay_s"] + shared / 2
+            info["cpu_s"] = cpu * info["wall_s"] / wall if wall else cpu / 2
+        return searched
+
+    def _check(self, kind: str) -> CheckResult:
+        """One check's verdict read off the walk, with its own
+        ``solver-call`` record."""
+        status, info = self._searched[kind]
+        elapsed = info["wall_s"]
+        obs.record(
+            f"enum search {self.p.name} x {self.q.name}", "solver-call",
+            wall_s=elapsed, cpu_s=info["cpu_s"], backend="enum", check=kind,
+            candidates=info["candidates"], exhaustive=info["exhaustive"],
+            sampled=info["sampled"], repeats=info["repeats"], result=status,
+        )
+        _metric_inc("noctua_solver_calls_total", backend="enum", result=status)
+        _metric_observe("noctua_solver_call_seconds", elapsed, backend="enum")
+        _metric_observe("noctua_solver_candidates", info["candidates"],
+                        backend="enum")
+        if status == "timeout":
+            return CheckResult(self.p.name, self.q.name, kind,
+                               Outcome.TIMEOUT, elapsed)
+        if status == "pass":
+            return CheckResult(self.p.name, self.q.name, kind,
+                               Outcome.PASS, elapsed)
+        return CheckResult(
+            self.p.name, self.q.name, kind, Outcome.FAIL, elapsed,
+            witness=Counterexample(
+                description=info.get("direction",
+                                     "application orders diverge"),
+                state=repr(info["state"].canonical()),
+                args_p=repr(info["env_p"]),
+                args_q=repr(info["env_q"]),
+                env_p=dict(info["env_p"]),
+                env_q=dict(info["env_q"]),
+            ),
+        )
 
     def check_commutativity(self) -> CheckResult:
         """Counterexample search for paper rule 1.
@@ -293,72 +396,9 @@ class PairChecker:
         independent fresh state, §5.2); both are then applied to a common
         state ``S`` in the two possible orders, with replication
         semantics.  A divergence of the final states is a witness.
+        The first of the two checks to be asked runs the shared walk.
         """
-        start, cpu_start = time.perf_counter(), time.process_time()
-        status, info = self.search_commutativity(start + self.config.timeout_s)
-        elapsed = time.perf_counter() - start
-        obs.record(
-            f"enum search {self.p.name} x {self.q.name}", "solver-call",
-            wall_s=elapsed, cpu_s=time.process_time() - cpu_start,
-            backend="enum", check="commutativity",
-            candidates=info["candidates"], result=status,
-        )
-        _metric_inc("noctua_solver_calls_total", backend="enum", result=status)
-        _metric_observe("noctua_solver_call_seconds", elapsed, backend="enum")
-        _metric_observe("noctua_solver_candidates", info["candidates"],
-                        backend="enum")
-        if status == "timeout":
-            return CheckResult(self.p.name, self.q.name, "commutativity",
-                               Outcome.TIMEOUT, elapsed)
-        if status == "pass":
-            return CheckResult(self.p.name, self.q.name, "commutativity",
-                               Outcome.PASS, elapsed)
-        return CheckResult(
-            self.p.name, self.q.name, "commutativity", Outcome.FAIL, elapsed,
-            witness=Counterexample(
-                description="application orders diverge",
-                state=repr(info["state"].canonical()),
-                args_p=repr(info["env_p"]),
-                args_q=repr(info["env_q"]),
-                env_p=dict(info["env_p"]),
-                env_q=dict(info["env_q"]),
-            ),
-        )
-
-    def search_semantic(self, deadline: float) -> tuple[str, dict]:
-        """The NotInvalidate witness search, structurally.
-
-        On ``"fail"``, ``info`` carries the common state, both argument
-        environments, the committed outcome of the invalidating side
-        (``after`` — the state on which the other precondition now fails)
-        and ``direction`` (``"Q invalidates P"`` / ``"P invalidates Q"``).
-        """
-        candidates = 0
-        for state, env_p, env_q, out_p, out_q in self._first_level(run_path):
-            if time.perf_counter() > deadline:
-                return "timeout", {"candidates": candidates}
-            candidates += 1
-            if not (out_p.committed and out_q.committed):
-                continue
-            if not run_path(self.p, out_q.state, env_p, self.schema).committed:
-                return "fail", {
-                    "candidates": candidates,
-                    "state": state,
-                    "env_p": env_p,
-                    "env_q": env_q,
-                    "after": out_q.state,
-                    "direction": "Q invalidates P",
-                }
-            if not run_path(self.q, out_p.state, env_q, self.schema).committed:
-                return "fail", {
-                    "candidates": candidates,
-                    "state": state,
-                    "env_p": env_p,
-                    "env_q": env_q,
-                    "after": out_p.state,
-                    "direction": "P invalidates Q",
-                }
-        return "pass", {"candidates": candidates}
+        return self._check("commutativity")
 
     def check_semantic(self) -> CheckResult:
         """``NotInvalidate(P,Q) ∧ NotInvalidate(Q,P)`` (paper rule 2).
@@ -368,33 +408,15 @@ class PairChecker:
         the common ancestor state of the concurrent execution) but ``g_P``
         no longer holds once ``Q``'s effect lands.
         """
-        start, cpu_start = time.perf_counter(), time.process_time()
-        status, info = self.search_semantic(start + self.config.timeout_s)
-        elapsed = time.perf_counter() - start
-        obs.record(
-            f"enum search {self.p.name} x {self.q.name}", "solver-call",
-            wall_s=elapsed, cpu_s=time.process_time() - cpu_start,
-            backend="enum", check="semantic",
-            candidates=info["candidates"], result=status,
-        )
-        _metric_inc("noctua_solver_calls_total", backend="enum", result=status)
-        _metric_observe("noctua_solver_call_seconds", elapsed, backend="enum")
-        _metric_observe("noctua_solver_candidates", info["candidates"],
-                        backend="enum")
-        if status == "timeout":
-            return CheckResult(self.p.name, self.q.name, "semantic",
-                               Outcome.TIMEOUT, elapsed)
-        if status == "pass":
-            return CheckResult(self.p.name, self.q.name, "semantic",
-                               Outcome.PASS, elapsed)
-        return CheckResult(
-            self.p.name, self.q.name, "semantic", Outcome.FAIL, elapsed,
-            witness=Counterexample(
-                description=info["direction"],
-                state=repr(info["state"].canonical()),
-                args_p=repr(info["env_p"]),
-                args_q=repr(info["env_q"]),
-                env_p=dict(info["env_p"]),
-                env_q=dict(info["env_q"]),
-            ),
-        )
+        return self._check("semantic")
+
+
+def _draw_key(outcomes: list[int]) -> bytes | tuple:
+    """A sampled candidate's exact key: its state's draw outcomes
+    (:meth:`StateGenerator.random_state`) and its arguments' content codes
+    (:meth:`ArgSampler.draw`), packed one byte each, or kept as a tuple
+    when one exceeds a byte — a tuple never equals bytes."""
+    try:
+        return bytes(outcomes)
+    except ValueError:
+        return tuple(outcomes)

@@ -538,44 +538,61 @@ class StateGenerator:
     def _sampling_plan(self) -> tuple[list, list]:
         """What ``random_state`` reads on every draw, resolved once per
         generator: per model (sorted) its name, pk field, candidate pks
-        and ``(field, domain, unique)`` for every other field; per
-        relation (sorted) its name and schema."""
+        and ``(field, domain, domain indices, unique)`` for every other
+        field; per relation (sorted) its name and schema."""
         models = []
         for mname in sorted(self.scope.models):
             model = self.schema.model(mname)
-            fields = [
-                (f.name, self.scope.field_domains[(mname, f.name)], f.unique)
-                for f in model.fields if f.name != model.pk
-            ]
+            fields = []
+            for f in model.fields:
+                if f.name != model.pk:
+                    domain = self.scope.field_domains[(mname, f.name)]
+                    fields.append((f.name, domain, range(len(domain)),
+                                   f.unique))
             models.append((mname, model.pk, self.scope.ids[mname], fields))
         relations = [(rname, self.schema.relation(rname))
                      for rname in sorted(self.scope.relations)]
         return models, relations
 
-    def random_state(self, rng: random.Random) -> DBState | None:
+    def random_state(self, rng: random.Random,
+                     key: list | None = None) -> DBState | None:
         """One sampled well-formed state, or None if sampling failed.
 
         The ``rng`` draws — which, how many, in which order — are part of
         the verdict contract: the candidate stream, and so every verdict,
-        is a function of them."""
+        is a function of them.  Every choice is drawn as an index
+        (``rng.choice`` over a ``range`` makes the same draw as over the
+        sequence it indexes, and ``shuffle`` permutes positions alike).
+
+        ``key``, when given, receives the draw outcomes as small ints:
+        row counts, domain and target indices, coin flips and the order
+        permutation.  The construction is a function of them, so equal
+        keys mean identical states, and ``1``, ``True`` and ``1.0`` —
+        equal as values — still differ as indices."""
         models, relations = self._sampling_plan
+        note = (key if key is not None else []).append
         state = self._empty()
         for mname, pk_field, all_pks, fields in models:
             nrows = rng.randint(0, len(all_pks))
+            note(nrows)
             table, order = state.tables[mname], state.order[mname]
             used_unique: dict[str, set] = {}
             for rank, pk in enumerate(all_pks[:nrows]):
                 row = {pk_field: pk}
-                for fname, domain, unique in fields:
-                    value = rng.choice(domain)
+                for fname, domain, picks, unique in fields:
+                    index = rng.choice(picks)
+                    value = domain[index]
                     if unique:
                         taken = used_unique.setdefault(fname, set())
-                        free = [v for v in domain if v not in taken]
+                        free = [i for i in picks if domain[i] not in taken]
                         if not free:
                             value = _synthesize_unique(domain, len(taken))
+                            index = len(domain)  # no domain value
                         else:
-                            value = rng.choice(free)
+                            index = rng.choice(free)
+                            value = domain[index]
                         taken.add(value)
+                    note(index)
                     row[fname] = value
                 table[pk] = row
                 order[pk] = rank
@@ -591,23 +608,34 @@ class StateGenerator:
                         if not rel.nullable:
                             state.delete_row(rel.source, src)
                         continue
-                    if rel.nullable and rng.random() < 0.34:
-                        continue
-                    pairs.add((src, rng.choice(targets)))
+                    if rel.nullable:
+                        unlinked = rng.random() < 0.34
+                        note(unlinked)
+                        if unlinked:
+                            continue
+                    index = rng.choice(range(len(targets)))
+                    note(index)
+                    pairs.add((src, targets[index]))
             else:
                 for src in sources:
                     for dst in targets:
-                        if rng.random() < 0.5:
+                        linked = rng.random() < 0.5
+                        note(linked)
+                        if linked:
                             pairs.add((src, dst))
         self._prune_dangling(state)
         # Occasionally shuffle insertion order so order-sensitive reads vary.
-        if rng.random() < 0.5:
+        shuffled = rng.random() < 0.5
+        note(shuffled)
+        if shuffled:
             for mname, _, _, _ in models:
                 order = state.order.get(mname, {})
                 pks = list(order)
-                rng.shuffle(pks)
-                for rank, pk in enumerate(pks):
-                    order[pk] = rank
+                perm = list(range(len(pks)))
+                rng.shuffle(perm)
+                for rank, index in enumerate(perm):
+                    order[pks[index]] = rank
+                    note(index)
         return state
 
 
@@ -726,7 +754,9 @@ class ArgSampler:
     """Seeded argument draws for one pair of paths.
 
     Each argument's domain, and the type slot its collision bias reuses
-    values from, is resolved once here; :meth:`draw` then only draws."""
+    values from, is resolved once here; :meth:`draw` then only draws.
+    Every domain value carries a content code: a small int per distinct
+    ``repr``, so ``1``, ``True`` and ``1.0`` get different codes."""
 
     def __init__(
         self,
@@ -738,7 +768,9 @@ class ArgSampler:
     ):
         self.unique_ids_distinct = unique_ids_distinct
         slots: dict[SoirType, int] = {}
-        #: per argument, p's then q's: (side, name, fresh?, domain, slot)
+        codes: dict[str, int] = {}
+        #: per argument, p's then q's: (side, name, fresh?, the domain as
+        #: ``(value, code)`` entries, slot)
         self.plan: list[tuple[int, str, bool, list, int]] = []
         for side, args in enumerate((args_p, args_q)):
             for arg in args:
@@ -747,22 +779,30 @@ class ArgSampler:
                     domain = pool if unique_ids_distinct else pool[:2]
                 else:
                     domain = arg_domain(arg, scope)
+                entries = [(v, codes.setdefault(repr(v), len(codes)))
+                           for v in domain]
                 slot = slots.setdefault(arg.type, len(slots))
-                self.plan.append((side, arg.name, arg.unique_id, domain, slot))
+                self.plan.append((side, arg.name, arg.unique_id, entries,
+                                  slot))
         self.slots = len(slots)
 
-    def draw(self, rng: random.Random) -> tuple[dict, dict]:
-        """One assignment per side (the ``rng`` draws are part of the
-        verdict contract, see :meth:`StateGenerator.random_state`)."""
+    def draw(self, rng: random.Random,
+             key: list | None = None) -> tuple[dict, dict]:
+        """One assignment per side.  The ``rng`` draws are part of the
+        verdict contract (see :meth:`StateGenerator.random_state`);
+        ``key``, when given, receives each argument's content code, so
+        equal keys mean equal environments."""
+        note = (key if key is not None else []).append
         envs: tuple[dict, dict] = ({}, {})
         fresh_used: list = []
         used_by_slot: list[list] = [[] for _ in range(self.slots)]
-        for side, name, fresh, domain, slot in self.plan:
+        for side, name, fresh, entries, slot in self.plan:
             if fresh:
-                pool = domain
+                pool = entries
                 if self.unique_ids_distinct:
-                    pool = [v for v in pool if v not in fresh_used] or pool
-                value = rng.choice(pool)
+                    pool = [e for e in entries
+                            if e[0] not in fresh_used] or entries
+                value, code = rng.choice(pool)
                 fresh_used.append(value)
             else:
                 # Collision bias: conflicts almost always require two
@@ -770,10 +810,10 @@ class ArgSampler:
                 # previously drawn value of the same type half of the time.
                 used = used_by_slot[slot]
                 if used and rng.random() < 0.5:
-                    value = rng.choice(used)
+                    value, code = rng.choice(used)
                 else:
-                    value = rng.choice(domain)
-                used.append(value)
+                    value, code = rng.choice(entries)
+                used.append((value, code))
+            note(code)
             envs[side][name] = value
         return envs
-

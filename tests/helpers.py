@@ -1,9 +1,12 @@
 """Shared fixtures: a small blog schema mirroring the paper's Figure 3,
-and the unreduced reference sweep the scheduler is compared against."""
+the unreduced reference sweep the scheduler is compared against, and the
+per-check reference walks the enum checker's one walk is compared
+against."""
 
 from __future__ import annotations
 
 from repro.soir import DBState, RelationSchema, Schema, make_model
+from repro.soir.interp import apply_path, run_path
 from repro.soir.types import DATETIME, INT, STRING
 from repro.verifier import verify_pair
 from repro.verifier.restrictions import VerificationReport
@@ -20,6 +23,54 @@ def reference_sweep(analysis, config, *, engine: str = "enum"
             report.verdicts.append(verify_pair(p, q, analysis.schema,
                                                config, engine=engine))
     return report
+
+
+def reference_search(checker) -> dict[str, tuple[str, dict]]:
+    """Each check of a ``PairChecker`` as its own walk over
+    ``checker._candidates()``: every candidate replayed from scratch, no
+    memo, no repeat skipping, no deadline.  ``PairChecker.search`` must
+    return the same statuses, candidate counts and witnesses."""
+    return {"commutativity": _reference_commutativity(checker),
+            "semantic": _reference_semantic(checker)}
+
+
+def _reference_commutativity(checker) -> tuple[str, dict]:
+    p, q, schema = checker.p, checker.q, checker.schema
+    feasible_cache: dict = {}
+    candidates = 0
+    for state, env_p, env_q, *_ in checker._candidates():
+        candidates += 1
+        s_pq = apply_path(q, apply_path(p, state, env_p, schema), env_q,
+                          schema)
+        s_qp = apply_path(p, apply_path(q, state, env_q, schema), env_p,
+                          schema)
+        if (not s_pq.same_state(s_qp)
+                and checker._feasible(p, env_p, feasible_cache)
+                and checker._feasible(q, env_q, feasible_cache)):
+            return "fail", {"candidates": candidates, "state": state,
+                            "env_p": env_p, "env_q": env_q,
+                            "s_pq": s_pq, "s_qp": s_qp}
+    return "pass", {"candidates": candidates}
+
+
+def _reference_semantic(checker) -> tuple[str, dict]:
+    p, q, schema = checker.p, checker.q, checker.schema
+    candidates = 0
+    for state, env_p, env_q, *_ in checker._candidates():
+        candidates += 1
+        out_p = run_path(p, state, env_p, schema)
+        out_q = run_path(q, state, env_q, schema)
+        if not (out_p.committed and out_q.committed):
+            continue
+        witness = {"candidates": candidates, "state": state,
+                   "env_p": env_p, "env_q": env_q}
+        if not run_path(p, out_q.state, env_p, schema).committed:
+            return "fail", {**witness, "after": out_q.state,
+                            "direction": "Q invalidates P"}
+        if not run_path(q, out_p.state, env_q, schema).committed:
+            return "fail", {**witness, "after": out_p.state,
+                            "direction": "P invalidates Q"}
+    return "pass", {"candidates": candidates}
 
 
 def blog_schema() -> Schema:

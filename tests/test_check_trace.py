@@ -1,0 +1,51 @@
+"""``tools/check_trace.py`` rejects enum ``solver-call`` records whose
+candidate counters do not add up."""
+
+from __future__ import annotations
+
+import json
+import pathlib
+import subprocess
+import sys
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+CHECK_TRACE = REPO_ROOT / "tools" / "check_trace.py"
+
+
+def solver_call(span_id: int, backend: str = "enum", **counters) -> dict:
+    return {"id": span_id, "parent": None, "name": "enum search P x Q",
+            "kind": "solver-call", "pid": 1, "wall_s": 0.1, "cpu_s": 0.1,
+            "attrs": {"backend": backend, "check": "semantic",
+                      "result": "pass", **counters}}
+
+
+def check(tmp_path, records) -> subprocess.CompletedProcess:
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return subprocess.run(
+        [sys.executable, str(CHECK_TRACE), str(trace),
+         "--require", "solver-call"],
+        capture_output=True, text=True, timeout=60)
+
+
+def test_accounted_enum_records_pass(tmp_path):
+    result = check(tmp_path, [
+        solver_call(1, candidates=40, exhaustive=16, sampled=24, repeats=24),
+        solver_call(2, backend="smt", clauses=10),
+    ])
+    assert result.returncode == 0, result.stdout
+
+
+def test_unaccounted_enum_records_fail(tmp_path):
+    result = check(tmp_path, [
+        solver_call(1, candidates=40, exhaustive=16, sampled=20, repeats=0),
+        solver_call(2, candidates=40, exhaustive=16, sampled=24, repeats=25),
+        solver_call(3, candidates=40),
+        solver_call(4, candidates=40, exhaustive=16, sampled=24, repeats=0),
+    ])
+    assert result.returncode == 1
+    lines = result.stdout.splitlines()
+    assert len(lines) == 3
+    assert "line 1" in lines[0] and "!= candidates 40" in lines[0]
+    assert "line 2" in lines[1] and "repeats 25 > sampled 24" in lines[1]
+    assert "line 3" in lines[2] and "lacks integer counters" in lines[2]

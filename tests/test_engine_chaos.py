@@ -39,6 +39,8 @@ from repro.engine.chaos import CHAOS_CHECK_CONFIG, _solver_bound_pairs
 
 CFG = CHAOS_CHECK_CONFIG
 POLICY = RetryPolicy(max_attempts=2, backoff_s=0.01)
+#: how long a held-back pair sleeps before it solves normally
+HOLD_S = 2.0
 
 
 @pytest.fixture(scope="module")
@@ -97,9 +99,15 @@ class TestPairIsolation:
     def test_crashing_pair_costs_only_itself(self, tmp_path, analysis,
                                              baseline, classes,
                                              solver_pairs):
-        plan = EngineChaosPlan(crash=frozenset({solver_pairs[0]}))
+        # The pool respawns only while unfinished work outnumbers its live
+        # workers, so the other first-round pair is held back (a ``hang``
+        # shorter than the deadline only delays it): work stays pending
+        # when the crashed worker dies, however fast the survivor solves.
+        plan = EngineChaosPlan(crash=frozenset({solver_pairs[0]}),
+                               hang=frozenset({solver_pairs[1]}),
+                               hang_s=HOLD_S)
         report = run_pair_sweep(
-            analysis, CFG, jobs=2, chaos=plan, pair_deadline_s=5.0,
+            analysis, CFG, jobs=2, chaos=plan, pair_deadline_s=10.0,
             retry=POLICY, use_cache=True, cache_dir=str(tmp_path),
         )
         assert_matches_except(analysis, baseline, report, classes,

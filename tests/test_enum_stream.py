@@ -6,9 +6,12 @@ examines, and the random phase of that stream is a function of the exact
 smallbank or courseware sweep hands to the solver, these tests pin a
 digest of the full ``PairChecker._candidates()`` stream, how many
 candidates each check examines, and how many times the search replays a
-path through the interpreter.  The values were recorded before the
-search's per-pair plans and memo bookkeeping were introduced; a change
-here means the search itself changed, not just its speed.
+path through the interpreter.  The digests, stream lengths and candidate
+counts were recorded before the search's per-pair plans, memo
+bookkeeping and single walk were introduced; a change there means the
+search itself changed, not just its speed.  The interpreter-call counts
+are those of the one walk deciding both checks, which skips repeated
+samples.
 """
 
 from __future__ import annotations
@@ -34,31 +37,31 @@ from helpers import blog_schema
 #: semantic candidates, apply_path calls, run_path calls)
 PINNED = {
     "courseware:AddCourse[0] x DeleteCourse[0]":
-        ("fbf5df1516adce8a", 1232, 4, 1232, 13, 4558),
+        ("fbf5df1516adce8a", 1232, 4, 1232, 13, 2394),
     "courseware:AddCourse[0] x Enroll[0]":
-        ("e08734212b05a170", 1328, 1328, 1328, 5128, 2730),
+        ("e08734212b05a170", 1328, 1328, 1328, 4948, 2632),
     "courseware:DeleteCourse[0] x DeleteCourse[0]":
-        ("b538181e1fde064b", 1236, 1236, 1236, 4083, 3471),
+        ("b538181e1fde064b", 1236, 1236, 1236, 1014, 790),
     "courseware:Enroll[0] x DeleteCourse[0]":
-        ("f2c3013d66e24267", 1456, 1456, 70, 5392, 49),
+        ("f2c3013d66e24267", 1456, 1456, 70, 5024, 49),
     "courseware:Enroll[0] x Enroll[0]":
-        ("5dbea3bbe46200ca", 2224, 2224, 2224, 6976, 2708),
+        ("5dbea3bbe46200ca", 2224, 2224, 2224, 6932, 2686),
     "courseware:Register[0] x Enroll[0]":
-        ("43980da1b1843ebf", 1328, 1328, 1328, 5128, 2770),
+        ("43980da1b1843ebf", 1328, 1328, 1328, 4924, 2658),
     "courseware:Register[0] x Register[0]":
-        ("37dd0624ae455692", 1216, 1216, 1216, 4848, 4848),
+        ("37dd0624ae455692", 1216, 1216, 1216, 1244, 1244),
     "smallbank:DepositChecking[1] x DepositChecking[1]":
-        ("cd323433d679bb87", 1920, 1920, 1920, 5806, 2300),
+        ("cd323433d679bb87", 1920, 1920, 1920, 4108, 1518),
     "smallbank:DepositChecking[1] x SendPayment[1]":
-        ("9a255101879e0484", 4080, 4080, 4080, 10860, 2944),
+        ("9a255101879e0484", 4080, 4080, 4080, 9644, 2306),
     "smallbank:DepositChecking[1] x TransactSavings[0]":
-        ("7b148c1cc9fa1562", 1920, 1920, 1920, 6360, 2900),
+        ("7b148c1cc9fa1562", 1920, 1920, 1920, 4808, 2064),
     "smallbank:SendPayment[1] x SendPayment[1]":
-        ("71c8897fc0fb9a41", 12720, 12720, 687, 27850, 91),
+        ("71c8897fc0fb9a41", 12720, 12720, 687, 27328, 91),
     "smallbank:TransactSavings[0] x SendPayment[1]":
-        ("64e7bc374e783403", 4080, 4080, 4080, 10860, 2986),
+        ("64e7bc374e783403", 4080, 4080, 4080, 10060, 2570),
     "smallbank:TransactSavings[0] x TransactSavings[0]":
-        ("e8a4a2c71e7c3f2a", 1920, 1920, 40, 5789, 37),
+        ("e8a4a2c71e7c3f2a", 1920, 1920, 40, 4080, 37),
 }
 
 
@@ -68,7 +71,7 @@ def stream_digest(checker: PairChecker) -> tuple[str, int]:
     h = hashlib.sha256()
     count = 0
     last_state, last_canon = None, b""
-    for state, env_p, env_q in checker._candidates():
+    for state, env_p, env_q, *_ in checker._candidates():
         if state is not last_state:
             last_state, last_canon = state, repr(state.canonical()).encode()
         h.update(last_canon)
@@ -79,8 +82,8 @@ def stream_digest(checker: PairChecker) -> tuple[str, int]:
 
 
 def searched(checker: PairChecker, monkeypatch) -> tuple[int, ...]:
-    """Both searches, unbounded in time: their candidate counts and the
-    interpreter calls they made."""
+    """The walk deciding both checks, unbounded in time: each check's
+    candidate count and the interpreter calls the walk made."""
     calls = {"apply_path": 0, "run_path": 0}
 
     def counting(name):
@@ -95,8 +98,8 @@ def searched(checker: PairChecker, monkeypatch) -> tuple[int, ...]:
     with monkeypatch.context() as m:
         for name in calls:
             m.setattr(enumcheck, name, counting(name))
-        _, com = checker.search_commutativity(float("inf"))
-        _, sem = checker.search_semantic(float("inf"))
+        walk = checker.search(float("inf"))
+    com, sem = walk["commutativity"][1], walk["semantic"][1]
     return (com["candidates"], sem["candidates"], calls["apply_path"],
             calls["run_path"])
 

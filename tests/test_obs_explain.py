@@ -6,6 +6,8 @@ the same pair yields byte-identical text."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.analyzer import analyze_application
@@ -104,6 +106,10 @@ class TestUnrestrictedPair:
         )
         assert "NOT RESTRICTED" in text
         assert "scenarios" in text
+        # the PASS says how its candidates split, per check
+        for kind in ("commutativity", "semantic"):
+            assert re.search(rf"  {kind}: \d+ exhaustive \+ \d+ sampled "
+                             rf"\(\d+ sampled repeats not replayed\)", text)
 
 
 class TestExplainReport:

@@ -88,8 +88,9 @@ def test_sweep_with_read_only_rows_matches_reference(app, analyses,
     monkeypatch.setattr(ObjVal, "__init__", frozen_objval_init)
     monkeypatch.setattr(StateGenerator, "canonical_states", lambda self: [
         freeze_rows(s) for s in canonical_states(self)])
-    monkeypatch.setattr(StateGenerator, "random_state", lambda self, rng:
-                        freeze_rows(random_state(self, rng)))
+    monkeypatch.setattr(StateGenerator, "random_state",
+                        lambda self, rng, key=None:
+                        freeze_rows(random_state(self, rng, key)))
 
     report = run_pair_sweep(analysis, CONFIG, jobs=1)
     assert report.metrics["mode"] == "serial"

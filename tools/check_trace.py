@@ -10,7 +10,10 @@ Checks (exits non-zero with a line per failure):
    (children are written before their parents, so ids are collected
    first);
 3. the trace covers the whole pipeline: all of ``--require``'s span
-   kinds appear (default: the analysis and verification phases).
+   kinds appear (default: the analysis and verification phases);
+4. every enum ``solver-call`` record accounts for its candidates:
+   it carries ``exhaustive``, ``sampled`` and ``repeats``, with
+   ``exhaustive + sampled == candidates`` and ``repeats <= sampled``.
 
 Used by the CI trace-smoke step::
 
@@ -31,6 +34,27 @@ DEFAULT_KINDS = (
     "app-analysis", "soir-lowering", "endpoint", "path-finding",
     "pair-sweep", "pair", "check", "solver-call",
 )
+
+
+ENUM_COUNTERS = ("candidates", "exhaustive", "sampled", "repeats")
+
+
+def enum_accounting(attrs: dict) -> list[str]:
+    """What is wrong with one enum ``solver-call`` record's candidate
+    counters (empty when nothing is)."""
+    missing = [k for k in ENUM_COUNTERS if not isinstance(attrs.get(k), int)]
+    if missing:
+        return [f"enum solver-call lacks integer counters {missing}"]
+    problems = []
+    if attrs["exhaustive"] + attrs["sampled"] != attrs["candidates"]:
+        problems.append(
+            f"enum solver-call: exhaustive {attrs['exhaustive']} + sampled "
+            f"{attrs['sampled']} != candidates {attrs['candidates']}")
+    if attrs["repeats"] > attrs["sampled"]:
+        problems.append(
+            f"enum solver-call: repeats {attrs['repeats']} > sampled "
+            f"{attrs['sampled']}")
+    return problems
 
 
 def main() -> int:
@@ -68,6 +92,12 @@ def main() -> int:
             problems.append(
                 f"line {lineno}: span {obj['id']} has dangling "
                 f"parent {parent}")
+
+    for lineno, obj in records:
+        attrs = obj["attrs"]
+        if obj["kind"] == "solver-call" and attrs.get("backend") == "enum":
+            problems.extend(f"line {lineno}: {problem}"
+                            for problem in enum_accounting(attrs))
 
     kinds = {obj["kind"] for _, obj in records}
     for kind in filter(None, args.require.split(",")):
