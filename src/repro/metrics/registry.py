@@ -133,6 +133,9 @@ FAMILIES: dict[str, FamilySpec] = _specs(
     FamilySpec("noctua_solver_candidates", HISTOGRAM,
                "Candidate schedules examined per enumeration call.",
                COUNT_BUCKETS),
+    FamilySpec("noctua_enum_pass_total", COUNTER,
+               "Enum PASS verdicts, by coverage (exhaustive: the whole "
+               "bounded state space was walked / sampled)."),
     # -- georep runtime ------------------------------------------------------
     FamilySpec("noctua_georep_delivered_total", COUNTER,
                "Operations applied at a replica, by site."),

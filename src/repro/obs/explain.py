@@ -379,11 +379,12 @@ def explain_pair(
                      f"(examined {com_info['candidates']} commutativity and "
                      f"{sem_info['candidates']} semantic scenarios); the "
                      f"pair may run concurrently under PoR.")
-        for kind, info in (("commutativity", com_info),
-                           ("semantic", sem_info)):
+    for kind, (status, info) in searched.items():
+        if status == "pass":
             lines.append(f"  {kind}: {info['exhaustive']} exhaustive + "
                          f"{info['sampled']} sampled ({info['repeats']} "
-                         f"sampled repeats not replayed)")
+                         f"sampled repeats not replayed); PASS coverage: "
+                         f"{info['coverage']}")
     return "\n".join(lines).rstrip() + "\n"
 
 

@@ -51,12 +51,13 @@ class DBState:
     def clone(self) -> "DBState":
         """A copy of the containers; the (immutable) rows are shared.
 
-        Every path replay clones its input, so the copies stay in C
-        (``map``/``zip``) rather than in per-container comprehensions."""
+        Every path replay clones its input.  Per-container comprehensions
+        beat ``dict(zip(keys, map(dict.copy, values)))`` here at every
+        state size measured (1 to 20 tables, CPython 3.11)."""
         return DBState(
-            tables=dict(zip(self.tables, map(dict.copy, self.tables.values()))),
-            assocs=dict(zip(self.assocs, map(set.copy, self.assocs.values()))),
-            order=dict(zip(self.order, map(dict.copy, self.order.values()))),
+            tables={m: t.copy() for m, t in self.tables.items()},
+            assocs={r: p.copy() for r, p in self.assocs.items()},
+            order={m: o.copy() for m, o in self.order.items()},
             next_order=self.next_order.copy(),
         )
 

@@ -19,6 +19,13 @@ Both rules are decided in one walk over a deterministic candidate stream
 (:meth:`PairChecker.search`): each rule examines the candidates its own
 walk would and stops at its own first witness, and a sampled candidate
 already examined in the walk is counted but not replayed.
+
+The stream is the canonical suite, then one of two phases.  When the
+scope's whole bounded state space (every state the sampler can draw)
+times the untrimmed argument product fits in ``max_samples``, the stream
+walks all of it and a PASS is a decision within the scope, tagged
+``coverage="exhaustive"``; otherwise it draws ``max_samples`` seeded
+samples and a PASS is tagged ``"sampled"``.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from .scopes import (
     StateGenerator,
     build_scope,
     collect_args,
+    env_product_size,
     env_products,
 )
 
@@ -131,9 +139,37 @@ class PairChecker:
         return [(env_p, env_q, key(env_p), key(env_q))
                 for env_p, env_q in envs or ()]
 
+    @cached_property
+    def _bounded_space(self) -> list[DBState] | None:
+        """The states of the exhaustive phase, or None when the stream
+        samples instead.
+
+        The whole bounded space (:meth:`StateGenerator.all_states`) is
+        walked when it, times the untrimmed env product, fits in
+        ``max_samples``, and the canonical suite before it is walked
+        whole.  The decision reads :meth:`StateGenerator.space_bound`,
+        so a "no" builds no state.  States whose content equals a
+        canonical state are left out: the suite already walked them."""
+        cfg = self.config
+        envs = len(self._env_plan)
+        if not envs or envs != env_product_size(
+                self.args_p, self.args_q, self.scope,
+                unique_ids_distinct=cfg.unique_ids):
+            return None
+        if len(self.canonical_states) * envs > cfg.max_exhaustive:
+            return None
+        limit = cfg.max_samples // envs
+        if self.generator.space_bound(limit) > limit:
+            return None
+        walked = {s.canonical(with_order=True) for s in self.canonical_states}
+        return [state for canon, state in self.generator.all_states().items()
+                if canon not in walked]
+
     def _candidates(self) -> Iterator[tuple]:
         """Deterministic candidate stream: canonical states × exhaustive
-        argument products first, then seeded random sampling.
+        argument products first, then the rest of the bounded space ×
+        the same products when it fits the sample budget
+        (:attr:`_bounded_space`), else seeded random sampling.
 
         Yields ``(state, env_p, env_q, memo_p, memo_q, sample_key)``.
         ``memo_p``/``memo_q`` name each side's env among the candidates
@@ -150,6 +186,11 @@ class PairChecker:
                 budget -= len(chunk)
                 if budget <= 0:
                     break
+        if self._bounded_space is not None:
+            for state in self._bounded_space:
+                for env_p, env_q, memo_p, memo_q in self._env_plan:
+                    yield state, env_p, env_q, memo_p, memo_q, None
+            return
         cfg = self.config
         # The per-pair stream must not depend on the process: built-in
         # ``hash()`` of strings is randomized per interpreter (PYTHONHASHSEED),
@@ -240,7 +281,10 @@ class PairChecker:
         ``info`` counts the candidates a check examined, split into
         ``exhaustive`` and ``sampled`` (``repeats``: the sampled ones
         skipped as repeats), plus ``replay_s``, the seconds spent in that
-        check's own replays.  On ``"fail"`` it also carries the *live*
+        check's own replays, and ``coverage``: on ``"pass"``,
+        ``"exhaustive"`` when the stream walked the whole bounded space
+        (:attr:`_bounded_space`) and ``"sampled"`` otherwise; empty on
+        any other status.  On ``"fail"`` it also carries the *live*
         witness the restriction explainer (:mod:`repro.obs.explain`)
         replays — the :class:`~repro.soir.state.DBState` and both
         argument environments, plus for commutativity the two diverging
@@ -332,6 +376,8 @@ class PairChecker:
                                         ("semantic", sem, sem_s)):
             status, info = decided or (end, counts())
             info["candidates"] = info["exhaustive"] + info["sampled"]
+            info["coverage"] = "" if status != "pass" else (
+                "sampled" if self._bounded_space is None else "exhaustive")
             info["replay_s"] = replay_s
             out[kind] = (status, info)
         return out
@@ -364,6 +410,7 @@ class PairChecker:
             wall_s=elapsed, cpu_s=info["cpu_s"], backend="enum", check=kind,
             candidates=info["candidates"], exhaustive=info["exhaustive"],
             sampled=info["sampled"], repeats=info["repeats"], result=status,
+            coverage=info["coverage"],
         )
         _metric_inc("noctua_solver_calls_total", backend="enum", result=status)
         _metric_observe("noctua_solver_call_seconds", elapsed, backend="enum")
@@ -373,8 +420,10 @@ class PairChecker:
             return CheckResult(self.p.name, self.q.name, kind,
                                Outcome.TIMEOUT, elapsed)
         if status == "pass":
+            _metric_inc("noctua_enum_pass_total", coverage=info["coverage"])
             return CheckResult(self.p.name, self.q.name, kind,
-                               Outcome.PASS, elapsed)
+                               Outcome.PASS, elapsed,
+                               coverage=info["coverage"])
         return CheckResult(
             self.p.name, self.q.name, kind, Outcome.FAIL, elapsed,
             witness=Counterexample(

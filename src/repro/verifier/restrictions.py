@@ -58,6 +58,11 @@ class CheckResult:
     elapsed_s: float = 0.0
     witness: Counterexample | None = None
     detail: str = ""
+    #: what an enum PASS covers: ``"exhaustive"`` when the search walked
+    #: the whole bounded state space × the untrimmed argument product,
+    #: ``"sampled"`` when it drew samples from it.  Empty for every other
+    #: outcome and for the SMT engine.
+    coverage: str = ""
 
 
 @dataclass
@@ -112,6 +117,7 @@ def check_result_to_obj(result: CheckResult) -> dict:
         "outcome": result.outcome.value,
         "elapsed_s": result.elapsed_s,
         "detail": result.detail,
+        "coverage": result.coverage,
     }
     if result.witness is not None:
         obj["witness"] = {
@@ -145,6 +151,7 @@ def check_result_from_obj(obj: dict) -> CheckResult:
         elapsed_s=obj.get("elapsed_s", 0.0),
         witness=witness,
         detail=obj.get("detail", ""),
+        coverage=obj.get("coverage", ""),
     )
 
 
@@ -278,6 +285,12 @@ class VerificationReport:
                     "commutativity": v.commutativity.outcome.value
                     if v.commutativity else None,
                     "semantic": v.semantic.outcome.value
+                    if v.semantic else None,
+                    # What each enum PASS covers ("exhaustive" /
+                    # "sampled"); empty for any other outcome.
+                    "commutativity_coverage": v.commutativity.coverage
+                    if v.commutativity else None,
+                    "semantic_coverage": v.semantic.coverage
                     if v.semantic else None,
                     # Per-pair solve timing.  Populated identically on the
                     # parallel and the serial(-fallback) code paths: the

@@ -15,12 +15,19 @@ finite search space of well-formed database states and argument vectors:
 
 State/argument candidates are produced as a deterministic stream: a small
 canonical suite first (empty and fully-populated states with exhaustive
-argument products), then seeded pseudo-random sampling.
+argument products), then either the whole bounded space or seeded
+pseudo-random sampling from it.  The bounded space is every state
+:meth:`StateGenerator.random_state` can return; :meth:`StateGenerator
+.all_states` lists it by driving ``random_state`` with an odometer over
+its draw outcomes instead of a seeded ``rng``, and :meth:`StateGenerator
+.space_bound` bounds its size without building a state, so the checker
+can tell cheaply whether the whole space fits its sample budget.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -563,6 +570,8 @@ class StateGenerator:
         is a function of them.  Every choice is drawn as an index
         (``rng.choice`` over a ``range`` makes the same draw as over the
         sequence it indexes, and ``shuffle`` permutes positions alike).
+        ``rng`` may also be an :class:`_Odometer`, which walks every
+        outcome of these draws (:meth:`all_states`).
 
         ``key``, when given, receives the draw outcomes as small ints:
         row counts, domain and target indices, coin flips and the order
@@ -580,9 +589,10 @@ class StateGenerator:
             for rank, pk in enumerate(all_pks[:nrows]):
                 row = {pk_field: pk}
                 for fname, domain, picks, unique in fields:
-                    index = rng.choice(picks)
-                    value = domain[index]
                     if unique:
+                        # The draw ``choice(picks)`` makes; its outcome
+                        # is never read, so the enumerator skips it.
+                        rng.randrange(len(picks))
                         taken = used_unique.setdefault(fname, set())
                         free = [i for i in picks if domain[i] not in taken]
                         if not free:
@@ -592,6 +602,9 @@ class StateGenerator:
                             index = rng.choice(free)
                             value = domain[index]
                         taken.add(value)
+                    else:
+                        index = rng.choice(picks)
+                        value = domain[index]
                     note(index)
                     row[fname] = value
                 table[pk] = row
@@ -637,6 +650,121 @@ class StateGenerator:
                     order[pks[index]] = rank
                     note(index)
         return state
+
+    def all_states(self) -> dict[tuple, DBState]:
+        """Every distinct state :meth:`random_state` can return, keyed by
+        its ``canonical(with_order=True)``: ``random_state`` itself, driven
+        by an :class:`_Odometer` over its draw outcomes instead of a
+        seeded ``rng``, builds each one.
+
+        The states come in the odometer's order, which ``_sampling_plan``
+        fixes: no set or hash order enters, so the walk is the same in
+        every process.  It builds at most twice :meth:`space_bound`
+        states, so check the bound first."""
+        odometer = _Odometer()
+        states: dict[tuple, DBState] = {}
+        while True:
+            state = self.random_state(odometer)
+            states.setdefault(state.canonical(with_order=True), state)
+            if not odometer.advance():
+                return states
+
+    def space_bound(self, limit: int) -> int:
+        """An upper bound on how many distinct states :meth:`random_state`
+        can return, read off ``_sampling_plan`` without building any:
+        summed over every row-count vector, the field choices times the
+        link choices times the insertion orders.  The sum stops once it
+        passes ``limit``, so a large space costs next to nothing."""
+        models, relations = self._sampling_plan
+        rows_of = {mname: i for i, (mname, *_) in enumerate(models)}
+        # Per model and row count: the field-value choices of its rows
+        # (a unique field has one value fewer free per row before it).
+        fills = []
+        for _, _, all_pks, fields in models:
+            counts = [1]
+            for rank in range(len(all_pks)):
+                per_row = 1
+                for _, domain, _, unique in fields:
+                    per_row *= (max(1, len(domain) - rank) if unique
+                                else len(domain))
+                counts.append(counts[-1] * per_row)
+            fills.append(counts)
+        grouped = [rows_of[mname] for mname, _ in self._unique_groups]
+        total = 0
+        for rows in itertools.product(*(range(len(c)) for c in fills)):
+            size = math.prod(c[n] for c, n in zip(fills, rows))
+            # Whether a row can be dropped: then the unshuffled order,
+            # with its gaps, differs from every permutation.
+            drops = any(rows[i] > 1 for i in grouped)
+            for _, rel in relations:
+                sources = rows[rows_of[rel.source]]
+                targets = rows[rows_of[rel.target]]
+                if rel.kind != "fk":
+                    size *= 2 ** (sources * targets)
+                elif targets:
+                    size *= (targets + rel.nullable) ** sources
+                elif sources and not rel.nullable:
+                    drops = True
+            orders = math.prod(math.factorial(n) for n in rows)
+            total += size * (orders + drops)
+            if total > limit:
+                break
+        return total
+
+
+class _Odometer:
+    """A stand-in for the ``random.Random`` that :meth:`StateGenerator
+    .random_state` draws from, which walks every sequence of draw outcomes
+    instead of sampling one.
+
+    Each run of ``random_state`` replays the current outcome prefix and
+    takes the first outcome at every later draw, noting its arity;
+    :meth:`advance` then steps the last draw that has an outcome left,
+    depth first.  ``randrange`` is the draw whose outcome ``random_state``
+    never reads, so it is not a branch."""
+
+    def __init__(self) -> None:
+        self.digits: list[int] = []
+        self.arity: list[int] = []
+        self.pos = 0
+
+    def _outcome(self, arity: int) -> int:
+        pos = self.pos
+        self.pos += 1
+        if pos == len(self.digits):
+            self.digits.append(0)
+            self.arity.append(arity)
+        return self.digits[pos]
+
+    def advance(self) -> bool:
+        """Move to the next outcome sequence; False after the last."""
+        self.pos = 0
+        digits, arity = self.digits, self.arity
+        while digits:
+            if digits[-1] + 1 < arity[-1]:
+                digits[-1] += 1
+                return True
+            digits.pop()
+            arity.pop()
+        return False
+
+    def randint(self, low: int, high: int) -> int:
+        return low + self._outcome(high - low + 1)
+
+    def choice(self, seq):
+        return seq[self._outcome(len(seq))]
+
+    def random(self) -> float:
+        """Below every threshold ``random_state`` compares with, then
+        above all of them."""
+        return float(self._outcome(2))
+
+    def randrange(self, stop: int) -> int:
+        return 0
+
+    def shuffle(self, seq: list) -> None:
+        n = self._outcome(math.factorial(len(seq)))
+        seq[:] = next(itertools.islice(itertools.permutations(seq), n, None))
 
 
 # ---------------------------------------------------------------------------
@@ -688,16 +816,15 @@ def arg_domain(arg: Argument, scope: Scope) -> list:
     return domain
 
 
-def env_products(
+def _env_specs(
     args_p: list[Argument],
     args_q: list[Argument],
     scope: Scope,
     *,
     unique_ids_distinct: bool,
-    cap: int,
-):
-    """Exhaustive product of argument assignments (capped)."""
-    specs: list[tuple[str, str, list]] = []  # (side, name, domain)
+) -> list[tuple[str, str, list]]:
+    """``(side, name, domain)`` of every argument the env product spans."""
+    specs: list[tuple[str, str, list]] = []
     fresh_counter = 0
     for side, args in (("p", args_p), ("q", args_q)):
         for arg in args:
@@ -713,9 +840,35 @@ def env_products(
             else:
                 pool = arg_domain(arg, scope)
             specs.append((side, arg.name, pool))
-    total = 1
-    for _, _, pool in specs:
-        total *= max(1, len(pool))
+    return specs
+
+
+def env_product_size(
+    args_p: list[Argument],
+    args_q: list[Argument],
+    scope: Scope,
+    *,
+    unique_ids_distinct: bool,
+) -> int:
+    """How many envs the untrimmed product holds (:func:`env_products`
+    trims it to its ``cap``)."""
+    specs = _env_specs(args_p, args_q, scope,
+                       unique_ids_distinct=unique_ids_distinct)
+    return math.prod(max(1, len(pool)) for _, _, pool in specs)
+
+
+def env_products(
+    args_p: list[Argument],
+    args_q: list[Argument],
+    scope: Scope,
+    *,
+    unique_ids_distinct: bool,
+    cap: int,
+):
+    """Exhaustive product of argument assignments (capped)."""
+    specs = _env_specs(args_p, args_q, scope,
+                       unique_ids_distinct=unique_ids_distinct)
+    total = math.prod(max(1, len(pool)) for _, _, pool in specs)
     if total > cap:
         # Don't abandon exhaustive coverage wholesale: shrink the widest
         # domains until the product fits, shedding the least

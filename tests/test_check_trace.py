@@ -1,5 +1,6 @@
 """``tools/check_trace.py`` rejects enum ``solver-call`` records whose
-candidate counters do not add up."""
+candidate counters do not add up, or whose PASS does not say what it
+covers."""
 
 from __future__ import annotations
 
@@ -30,18 +31,24 @@ def check(tmp_path, records) -> subprocess.CompletedProcess:
 
 def test_accounted_enum_records_pass(tmp_path):
     result = check(tmp_path, [
-        solver_call(1, candidates=40, exhaustive=16, sampled=24, repeats=24),
-        solver_call(2, backend="smt", clauses=10),
+        solver_call(1, candidates=40, exhaustive=16, sampled=24, repeats=24,
+                    coverage="sampled"),
+        solver_call(2, candidates=40, exhaustive=40, sampled=0, repeats=0,
+                    coverage="exhaustive"),
+        solver_call(3, backend="smt", clauses=10),
     ])
     assert result.returncode == 0, result.stdout
 
 
 def test_unaccounted_enum_records_fail(tmp_path):
     result = check(tmp_path, [
-        solver_call(1, candidates=40, exhaustive=16, sampled=20, repeats=0),
-        solver_call(2, candidates=40, exhaustive=16, sampled=24, repeats=25),
-        solver_call(3, candidates=40),
-        solver_call(4, candidates=40, exhaustive=16, sampled=24, repeats=0),
+        solver_call(1, candidates=40, exhaustive=16, sampled=20, repeats=0,
+                    coverage="sampled"),
+        solver_call(2, candidates=40, exhaustive=16, sampled=24, repeats=25,
+                    coverage="sampled"),
+        solver_call(3, candidates=40, coverage="sampled"),
+        solver_call(4, candidates=40, exhaustive=16, sampled=24, repeats=0,
+                    coverage="sampled"),
     ])
     assert result.returncode == 1
     lines = result.stdout.splitlines()
@@ -49,3 +56,23 @@ def test_unaccounted_enum_records_fail(tmp_path):
     assert "line 1" in lines[0] and "!= candidates 40" in lines[0]
     assert "line 2" in lines[1] and "repeats 25 > sampled 24" in lines[1]
     assert "line 3" in lines[2] and "lacks integer counters" in lines[2]
+
+
+def test_passes_without_honest_coverage_fail(tmp_path):
+    counters = dict(candidates=40, exhaustive=16, sampled=24, repeats=0)
+    result = check(tmp_path, [
+        solver_call(1, **counters),
+        solver_call(2, **counters, coverage="exhaustive"),
+        solver_call(3, **counters, coverage="sampled"),
+        {**solver_call(4, **counters), "attrs": {
+            "backend": "enum", "check": "semantic", "result": "fail",
+            "coverage": "", **counters}},
+        solver_call(5, candidates=40, exhaustive=40, sampled=0, repeats=0,
+                    coverage="most"),
+    ])
+    assert result.returncode == 1
+    lines = result.stdout.splitlines()
+    assert len(lines) == 3
+    assert "line 1" in lines[0] and "PASS without coverage" in lines[0]
+    assert "line 2" in lines[1] and "exhaustive PASS drew 24" in lines[1]
+    assert "line 5" in lines[2] and "'most'" in lines[2]

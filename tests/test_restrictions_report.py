@@ -84,7 +84,8 @@ class TestJsonArtifact:
         first = parsed["verdicts"][0]
         assert set(first) == {"left", "right", "left_view", "right_view",
                               "commutativity", "semantic",
-                              "commutativity_s", "semantic_s", "status"}
+                              "commutativity_s", "semantic_s", "status",
+                              "commutativity_coverage", "semantic_coverage"}
         assert {v["status"] for v in parsed["verdicts"]} == {"decided"}
         assert parsed["unknowns"] == []
         assert parsed["timing"]["wall_s"] == pytest.approx(0.0)

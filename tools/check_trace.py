@@ -13,7 +13,10 @@ Checks (exits non-zero with a line per failure):
    kinds appear (default: the analysis and verification phases);
 4. every enum ``solver-call`` record accounts for its candidates:
    it carries ``exhaustive``, ``sampled`` and ``repeats``, with
-   ``exhaustive + sampled == candidates`` and ``repeats <= sampled``.
+   ``exhaustive + sampled == candidates`` and ``repeats <= sampled``;
+5. every enum ``solver-call`` record of a PASS says what it covers:
+   ``coverage`` is ``exhaustive`` or ``sampled``, and an ``exhaustive``
+   one drew no samples (``sampled == 0``).
 
 Used by the CI trace-smoke step::
 
@@ -54,6 +57,15 @@ def enum_accounting(attrs: dict) -> list[str]:
         problems.append(
             f"enum solver-call: repeats {attrs['repeats']} > sampled "
             f"{attrs['sampled']}")
+    if attrs.get("result") == "pass":
+        coverage = attrs.get("coverage")
+        if coverage not in ("exhaustive", "sampled"):
+            problems.append(
+                f"enum solver-call: PASS without coverage ({coverage!r})")
+        elif coverage == "exhaustive" and attrs["sampled"]:
+            problems.append(
+                f"enum solver-call: exhaustive PASS drew "
+                f"{attrs['sampled']} samples")
     return problems
 
 
