@@ -176,12 +176,6 @@ def cmd_verify(args) -> int:
     print(f"reduction     : {metrics.get('class_count', 0)} classes, "
           f"{metrics.get('shared', 0)} shared, "
           f"{metrics.get('pruned_rw_disjoint', 0)} rw-disjoint pruned")
-    wins = metrics.get("portfolio_wins") or {}
-    if wins:
-        won = ", ".join(f"{backend}={n}" for backend, n in sorted(wins.items()))
-        print(f"portfolio     : wins {won}; "
-              f"{metrics.get('portfolio_agreements', 0)} agreements, "
-              f"{metrics.get('portfolio_disagreements', 0)} disagreements")
     failures = metrics.get("failures") or {}
     if failures or metrics.get("unknowns"):
         counts = ", ".join(f"{kind}={n}" for kind, n in sorted(failures.items()))
@@ -682,9 +676,9 @@ def main(argv: list[str] | None = None) -> int:
                           help="reduced search budget")
     p_verify.add_argument("--engine", default="enum",
                           choices=("enum", "smt", "portfolio"),
-                          help="solver backend; 'portfolio' races enum "
-                               "and smt per pair and takes the first "
-                               "definitive answer")
+                          help="solver backend; 'portfolio' runs enum "
+                               "per pair and falls back to smt when the "
+                               "enum verdict is not definitive")
     p_verify.add_argument("--jobs", type=int, default=1, metavar="N",
                           help="solve pairs on N worker processes "
                                "(default: 1, serial)")

@@ -145,8 +145,8 @@ def load_corpus(directory: str | Path) -> list[CorpusCase]:
 def _expected_outcomes(spec, engine: str) -> tuple[str, ...] | None:
     """Normalize one check's expectation for one engine, or None.
 
-    A ``portfolio`` replay may surface either backend's verdict (the
-    race winner is whichever answers definitively first), so unless a
+    A ``portfolio`` replay may surface either backend's verdict (enum's
+    when it is definitive, else smt's when that one is), so unless a
     case pins ``portfolio`` explicitly, its expectation is the union of
     the enum and smt expectations."""
     if isinstance(spec, dict):
@@ -169,7 +169,7 @@ def replay_case(case: CorpusCase,
 
     An empty list means the corpus case still holds.  ``engines``
     overrides the case's own engine list — ``("portfolio",)`` replays
-    the whole corpus through the racing backend pair."""
+    the whole corpus through the sequential enum-then-smt backend."""
     failures: list[str] = []
     config = case.check_config()
     for engine in (case.engines if engines is None else engines):

@@ -104,10 +104,16 @@ def deadline(seconds: float | None) -> Iterator[None]:
 def default_deadline(config: CheckConfig) -> float:
     """The watchdog deadline used when the caller does not pick one.
 
-    Generous by construction: both checks get their full cooperative
-    ``timeout_s`` budget plus slack, so a well-behaved checker always
-    times out cooperatively (a *decided*, conservative ``TIMEOUT``
-    outcome) before the watchdog kills it (an *undecided* ``unknown``)."""
+    Generous by construction, so a well-behaved checker always times out
+    cooperatively (a *decided*, conservative ``TIMEOUT`` outcome) before
+    the watchdog kills it (an *undecided* ``unknown``).  The longest
+    attempt is a portfolio one: the enum walk decides both checks in one
+    pass under a pooled ``2 * timeout_s`` budget, and when its verdict
+    is not definitive the SMT lane runs both checks, ``timeout_s`` each —
+    ``4 * timeout_s`` of cooperative budget in one attempt.  The
+    ``+ 5`` s covers scope construction and worker start-up outside
+    those budgets, and the 10 s floor keeps tiny budgets from turning
+    scheduling jitter into kills."""
     return max(10.0, 4.0 * config.timeout_s + 5.0)
 
 

@@ -31,7 +31,7 @@ from ..verifier.enumcheck import CheckConfig
 
 #: bump when the fingerprint scheme, the SOIR serialization, or the
 #: meaning of a verdict changes incompatibly
-FINGERPRINT_VERSION = 2
+FINGERPRINT_VERSION = 3
 
 
 def _digest(obj) -> str:

@@ -39,22 +39,17 @@ def fold_sweep_into(registry: MetricsRegistry, sweep: Span) -> dict:
 
     * ``pairs_total{route=...}`` — every pair outcome by route
       (``pruned:<tag>`` / ``cached`` / ``shared`` / ``solved`` /
-      ``unknown``); ``portfolio-loser`` spans are the losing lane of a
-      race (their solve time is observed by backend, but the pair was
-      already counted under its winner) and are skipped as outcomes;
+      ``unknown``);
     * ``classes_total`` / ``class_shared_total`` /
       ``pruned_pairs_total{tag=...}`` — reduction-pipeline effect:
       signature classes formed, verdicts shared from representatives,
       and solver-free prunes by tag;
-    * ``portfolio_wins_total{backend=...}`` /
-      ``portfolio_agreements_total`` / ``portfolio_disagreements_total``
-      — race outcomes and the free cross-check samples
-      (``portfolio-sample`` records) they produce;
     * ``cache_hits_total`` / ``cache_misses_total`` /
       ``cache_saved_seconds_total`` — cache efficiency;
     * ``pair_solve_seconds{backend=...}`` — per-pair solve wall time,
-      split by the backend that actually produced the verdict
-      (``engine_used`` on fallback pairs, the sweep engine otherwise);
+      split by the engine the attempt ran (``engine_used`` on fallback
+      pairs, the sweep engine otherwise: a portfolio attempt is
+      ``portfolio``, and its ``check`` spans name the lane that ran);
     * ``failures_total{kind=...}`` / ``retries_total`` /
       ``unknowns_total`` / ``fallbacks_total`` — the failure taxonomy
       (``pair-failure`` records count failed attempts; every failed
@@ -80,23 +75,9 @@ def fold_sweep_into(registry: MetricsRegistry, sweep: Span) -> dict:
             registry.inc("noctua_engine_failures_total", kind=kind)
             failed_attempts += 1
             continue
-        if span.kind == "portfolio-sample":
-            if span.attrs.get("agree"):
-                registry.inc("noctua_engine_portfolio_agreements_total")
-            else:
-                registry.inc("noctua_engine_portfolio_disagreements_total")
-            continue
         if span.kind != "pair":
             continue
         route = span.attrs.get("route", "")
-        if route == "portfolio-loser":
-            # The losing lane of a race: real solver work worth timing,
-            # but the pair outcome was already counted under its winner.
-            registry.observe("noctua_engine_pair_solve_seconds",
-                             span.wall_s,
-                             backend=span.attrs.get("engine_used",
-                                                    base_engine))
-            continue
         registry.inc("noctua_engine_pairs_total", route=route or "unknown")
         if route.startswith("pruned:"):
             registry.inc("noctua_engine_pruned_pairs_total",
@@ -121,9 +102,6 @@ def fold_sweep_into(registry: MetricsRegistry, sweep: Span) -> dict:
         elif route == "solved":
             if span.attrs.get("cache") == "miss":
                 registry.inc("noctua_engine_cache_misses_total")
-            if span.attrs.get("portfolio_win"):
-                registry.inc("noctua_engine_portfolio_wins_total",
-                             backend=span.attrs["portfolio_win"])
             elapsed = span.wall_s
             backend = span.attrs.get("engine_used", base_engine)
             registry.observe("noctua_engine_pair_solve_seconds", elapsed,
@@ -178,11 +156,6 @@ class EngineMetrics:
     shared: int = 0
     #: pairs actually handed to a checker this run
     solver_calls: int = 0
-    #: portfolio race outcomes: wins by backend, and cross-check samples
-    #: where both lanes finished (agreed / disagreed)
-    portfolio_wins: dict[str, int] = field(default_factory=dict)
-    portfolio_agreements: int = 0
-    portfolio_disagreements: int = 0
 
     #: failure-taxonomy counters (see :mod:`repro.engine.failures`):
     #: failed attempts by kind, attempts retried, pairs re-solved on the
@@ -245,15 +218,6 @@ class EngineMetrics:
         metrics.class_count = int(sweep.attrs.get("classes", 0))
         metrics.shared = int(
             registry.value("noctua_engine_class_shared_total"))
-        metrics.portfolio_wins = {
-            labels["backend"]: int(count)
-            for labels, count in registry.series(
-                "noctua_engine_portfolio_wins_total")
-        }
-        metrics.portfolio_agreements = int(
-            registry.value("noctua_engine_portfolio_agreements_total"))
-        metrics.portfolio_disagreements = int(
-            registry.value("noctua_engine_portfolio_disagreements_total"))
         metrics.solver_calls = int(registry.value(pairs, route="solved"))
         metrics.unknowns = int(registry.value(pairs, route="unknown"))
         metrics.cache_hits = int(
@@ -308,9 +272,6 @@ class EngineMetrics:
             "class_count": self.class_count,
             "shared": self.shared,
             "solver_calls": self.solver_calls,
-            "portfolio_wins": dict(self.portfolio_wins),
-            "portfolio_agreements": self.portfolio_agreements,
-            "portfolio_disagreements": self.portfolio_disagreements,
             "failures": dict(self.failures),
             "retries": self.retries,
             "engine_fallbacks": self.engine_fallbacks,

@@ -45,16 +45,13 @@ not inherit the parent's tracer, signal handlers or lock state via fork.
 Observability: every sweep runs inside a ``pair-sweep`` span with one
 ``pair`` child per pair (route = ``pruned:<tag>`` / ``cached`` /
 ``shared`` / ``solved`` / ``unknown``); each failed attempt, in either
-lane, leaves one ``pair-failure`` record; a portfolio race additionally
-leaves a ``portfolio-loser`` pair child for the losing lane when it
-finishes and a ``portfolio-sample`` record per cross-checked agreement.
-When the caller has a tracer active (:mod:`repro.obs`) those spans land
-in the caller's trace — including spans produced inside a lane (a
-worker's arrive serialized over its pipe), which are grafted back onto
-the parent tree.  With no tracer active, the scheduler still builds the
-span tree on a private tracer, because
-:class:`~repro.engine.metrics.EngineMetrics` is computed *from* the
-spans (``EngineMetrics.from_sweep``).
+lane, leaves one ``pair-failure`` record.  When the caller has a tracer
+active (:mod:`repro.obs`) those spans land in the caller's trace —
+including spans produced inside a lane (a worker's arrive serialized
+over its pipe), which are grafted back onto the parent tree.  With no
+tracer active, the scheduler still builds the span tree on a private
+tracer, because :class:`~repro.engine.metrics.EngineMetrics` is
+computed *from* the spans (``EngineMetrics.from_sweep``).
 
 Determinism: verdicts are assembled into the report in sweep order
 (``i <= j`` over the effectful-path list) regardless of completion
@@ -86,12 +83,7 @@ from ..verifier.restrictions import (
     verdict_from_obj,
     verdict_to_obj,
 )
-from ..verifier.runner import (
-    PORTFOLIO_LANES,
-    definitive,
-    portfolio_agreement,
-    solve_pair,
-)
+from ..verifier.runner import solve_pair
 from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .chaos import EngineChaosPlan, SweepAborted, apply_chaos
 from .failures import (
@@ -241,9 +233,9 @@ def run_pair_sweep(
     always runs: read/write disjointness pruning and signature-class
     verdict sharing — one representative solved per class, members
     relabeled with full provenance.  ``engine`` may be ``"portfolio"``:
-    each representative races the enum and SMT backends, the first
-    definitive answer wins and the loser's verdict (when it finishes)
-    becomes a cross-check agreement sample."""
+    each representative is one ordinary task whose attempt runs
+    ``solve_pair(engine="portfolio")`` — enum first, SMT only when the
+    enum verdict is not definitive."""
     config = config or CheckConfig()
     policy = retry or RetryPolicy()
     deadline_s = (pair_deadline_s if pair_deadline_s is not None
@@ -312,13 +304,10 @@ def run_pair_sweep(
 
             Verdicts computed under a degraded budget or a fallback
             engine are *tainted* — correct, but not what this sweep's
-            fingerprint describes — and are never cached.  Portfolio
-            lane engines are not taint: racing enum and SMT is exactly
-            what a portfolio sweep's fingerprint describes."""
+            fingerprint describes — and are never cached."""
             verdicts[slot] = verdict
             counters["solved"] += 1
-            lane_ok = engine == "portfolio" and task[4] in PORTFOLIO_LANES
-            tainted = task[5] > 0 or (task[4] != engine and not lane_ok)
+            tainted = task[5] > 0 or task[4] != engine
             fp = slot_fp.get(slot)
             if cache is not None and fp is not None and not tainted:
                 cache.put(fp, verdict, class_key=slot_class.get(slot))
@@ -483,54 +472,28 @@ def _dispatch(
     degraded budget or fallback engine) and respawns capacity.  When the
     pool machinery itself fails, the in-flight pairs (the likely poison)
     are recorded in ``fallback_reason``, the workers are reaped, and the
-    same loop keeps draining through the in-process lane; every task and
-    portfolio lane keeps its attempt state.
+    same loop keeps draining through the in-process lane; every task
+    keeps its attempt state.
 
-    In portfolio mode every queued pair expands into one task per lane
-    (enum, smt).  The first *definitive* verdict wins the pair and the
-    sibling lane is cancelled; when both lanes finish, the loser's
-    verdict is kept as a cross-check agreement sample (route
-    ``portfolio-loser`` + a ``portfolio-sample`` record).  A lane that
-    fails retries within its own lane — the other lane is the fallback —
-    and a pair degrades to ``unknown`` only when every lane is
-    exhausted.  The in-process lane takes tasks in queue order, so it
-    runs the enum lane first and the SMT lane only while the pair is
-    still unresolved."""
+    A portfolio task is one attempt like any other: ``solve_pair`` runs
+    its lanes in sequence.  ``engine`` only tells a fallback retry from
+    the sweep's own engine."""
     effectful = analysis.effectful_paths
-    portfolio = engine == "portfolio"
-    work: list[Task] = queue
-    if portfolio:
-        work = [(slot, i, j, 0, lane, 0)
-                for slot, i, j, _a, _e, _l in queue
-                for lane in PORTFOLIO_LANES]
-    pending: list[list] = [[task, 0.0] for task in work]
+    pending: list[list] = [[task, 0.0] for task in queue]
     resolved: set[int] = set()
-    #: portfolio bookkeeping: lane liveness, non-definitive verdicts
-    #: parked until the race settles, and winners for late cross-checks
-    lanes: dict[int, dict[str, str]] = (
-        {t[0]: {lane: "live" for lane in PORTFOLIO_LANES} for t in queue}
-        if portfolio else {})
-    candidates: dict[int, dict[str, tuple]] = {}
-    winners: dict[int, tuple] = {}
     workers: dict[int, dict] = {}
-    n_workers = min(jobs, len(work))
-    pooled = jobs > 1 and len(work) >= 2
+    n_workers = min(jobs, len(queue))
+    pooled = jobs > 1 and len(queue) >= 2
     respawns = 0
     results_seen = 0
 
-    def emit_pair_span(task: Task, verdict, pid, elapsed, span,
-                       route: str = "solved", extra: dict | None = None):
+    def emit_pair_span(task: Task, verdict, pid, elapsed, span) -> None:
         """Land one lane result in the trace (graft or record)."""
-        attrs = dict(attempts=task[3] + 1, **cache_attr)
-        if portfolio:
-            attrs["engine_used"] = task[4]
-        elif task[4] != engine:
+        attrs = dict(attempts=task[3] + 1, route="solved", **cache_attr)
+        if task[4] != engine:
             attrs.update(engine_fallback=True, engine_used=task[4])
         if task[5]:
             attrs["degrade_level"] = task[5]
-        if extra:
-            attrs.update(extra)
-        attrs["route"] = route
         if span is not None:
             span.attrs.update(attrs)
             span.attrs.setdefault("restricted", verdict.restricted)
@@ -543,57 +506,12 @@ def _dispatch(
                 restricted=verdict.restricted, **attrs,
             )
 
-    def emit_sample(win_verdict, win_lane: str, lose_verdict,
-                    lose_lane: str) -> None:
-        agree = portfolio_agreement(win_verdict, lose_verdict)
-        if agree is not None:
-            tracer.record(
-                f"{win_verdict.left} x {win_verdict.right}",
-                "portfolio-sample", left=win_verdict.left,
-                right=win_verdict.right, agree=agree,
-                winner=win_lane, loser=lose_lane,
-            )
-
-    def accept(slot: int, verdict, task: Task, pid, elapsed, span,
-               losers: dict) -> None:
-        """Resolve a pair with a lane's verdict; in portfolio mode the
-        other finished lanes in ``losers`` become cross-check samples."""
-        extra = {"portfolio_win": task[4]} if portfolio else None
-        emit_pair_span(task, verdict, pid, elapsed, span, extra=extra)
-        resolved.add(slot)
-        commit(slot, verdict, task)
-        if not portfolio:
-            return  # the pair's only task is the one that answered
-        winners[slot] = (verdict, task[4])
-        for lane, (cv, ctask, cpid, celapsed, cspan) in losers.items():
-            emit_pair_span(ctask, cv, cpid, celapsed, cspan,
-                           route="portfolio-loser")
-            emit_sample(verdict, task[4], cv, lane)
-        # Cancel the sibling lane: drop it from the queue, or reap the
-        # worker still racing it (the respawn sweep restores capacity).
-        pending[:] = [entry for entry in pending if entry[0][0] != slot]
-        for wid in [w for w, st in workers.items()
-                    if st["task"] is not None and st["task"][0] == slot
-                    and st["task"] is not task]:
-            reap(wid)
-
-    def finalize_candidates(slot: int) -> None:
-        """Every lane finished without a definitive answer: keep the
-        preferred lane's verdict (enum first — the same tie-break as
-        ``verify_pair(engine="portfolio")``), cross-check the rest."""
-        cands = candidates.pop(slot, {})
-        if cands:
-            chosen = next(lane for lane in PORTFOLIO_LANES if lane in cands)
-            accept(slot, *cands.pop(chosen), losers=cands)
-
     def fail_task(task: Task, kind: str, detail: str, stage: str) -> None:
         """Classify a failed attempt: retry or degrade to unknown.
 
         Either lane's failed attempt leaves one ``pair-failure`` record;
         no lane ships a ``pair`` span for it (a crashed worker cannot)."""
         slot, i, j, attempt, task_engine, _level = task
-        if slot in resolved:
-            return
         p, q = effectful[i], effectful[j]
         tracer.record(
             f"{p.name} x {q.name}", "pair-failure",
@@ -606,47 +524,20 @@ def _dispatch(
             pending.append([next_task, time.monotonic()
                             + policy.backoff_for(attempt + 1)])
             return
-        if portfolio:
-            lanes[slot][task_engine] = "dead"
-            if any(s == "live" for s in lanes[slot].values()):
-                return  # the other lane may still answer
-            if slot in candidates:
-                finalize_candidates(slot)
-                return
         emit_unknown(slot, i, j, PairFailure(
             kind, p.name, q.name, attempt + 1, stage, cap_text(detail)))
         resolved.add(slot)
 
     def handle(msg: tuple, stage: str) -> None:
-        """Route one lane message: settle, park, retry or discard."""
+        """Route one lane message: settle the pair, or retry/degrade."""
         kind_tag, task, *payload = msg
-        slot = task[0]
-        if slot in resolved:
-            # Stale: the watchdog already gave up on this pair — or, in
-            # a portfolio race, the sibling lane already won, in which
-            # case this late finisher is the loser and still yields a
-            # free agreement sample.
-            if portfolio and slot in winners and kind_tag == "ok":
-                _, loser, pid, elapsed, span = payload[0]
-                emit_pair_span(task, loser, pid, elapsed, span,
-                               route="portfolio-loser")
-                emit_sample(*winners[slot], loser, task[4])
-            return
         if kind_tag == "fail":
             fail_task(task, payload[0], payload[1], stage)
             return
-        _, verdict, pid, elapsed, span = payload[0]
-        if portfolio and not definitive(verdict):
-            # Park it: the sibling lane may still produce a definitive
-            # answer worth waiting for.
-            lanes[slot][task[4]] = "done"
-            candidates.setdefault(slot, {})[task[4]] = (
-                verdict, task, pid, elapsed, span)
-            if not any(s == "live" for s in lanes[slot].values()):
-                finalize_candidates(slot)
-            return
-        accept(slot, verdict, task, pid, elapsed, span,
-               losers=candidates.pop(slot, {}))
+        slot, verdict, pid, elapsed, span = payload[0]
+        emit_pair_span(task, verdict, pid, elapsed, span)
+        resolved.add(slot)
+        commit(slot, verdict, task)
 
     def solve_in_process(task: Task) -> tuple:
         """The in-process lane: one attempt in the parent, answered with
@@ -719,9 +610,7 @@ def _dispatch(
                 time.sleep(0.01)  # backoff gap with no one to watch
         for conn in ready:
             wid = busy[id(conn)]
-            state = workers.get(wid)
-            if state is None:
-                continue  # a portfolio lane cancelled earlier this round
+            state = workers[wid]
             try:
                 msg = conn.recv()
             except (EOFError, OSError):
@@ -763,14 +652,7 @@ def _dispatch(
                 fail_task(task, CRASH, "worker died unexpectedly", "worker")
 
         # Respawn capacity while unfinished work remains.
-        if portfolio:
-            unfinished = sum(
-                1 for slot, lane_states in lanes.items()
-                if slot not in resolved
-                for status in lane_states.values() if status == "live")
-        else:
-            unfinished = len(queue) - len(resolved)
-        while len(workers) < min(n_workers, unfinished):
+        while len(workers) < min(n_workers, len(queue) - len(resolved)):
             spawn()
             respawns += 1
 
@@ -791,10 +673,6 @@ def _dispatch(
             task = reap(wid)
             if task is not None:
                 pending.append([task, 0.0])
-        # Sweep order, and a portfolio pair's enum lane before its SMT
-        # lane — the in-process lane's order.
-        pending.sort(key=lambda entry: (entry[0][0],
-                                        entry[0][4] != PORTFOLIO_LANES[0]))
         pooled = False
 
     spawned = 0

@@ -92,13 +92,6 @@ FAMILIES: dict[str, FamilySpec] = _specs(
     FamilySpec("noctua_engine_pruned_pairs_total", COUNTER,
                "Pairs resolved by solver-free pruning, by tag "
                "(conservative / order / disjoint / rw-disjoint)."),
-    FamilySpec("noctua_engine_portfolio_wins_total", COUNTER,
-               "Portfolio races won, by backend (first definitive answer)."),
-    FamilySpec("noctua_engine_portfolio_agreements_total", COUNTER,
-               "Portfolio races where both backends finished and agreed."),
-    FamilySpec("noctua_engine_portfolio_disagreements_total", COUNTER,
-               "Portfolio races where both backends finished and "
-               "disagreed (a cross-check alarm)."),
     FamilySpec("noctua_engine_cache_hits_total", COUNTER,
                "Pair verdicts served from the cross-run cache."),
     FamilySpec("noctua_engine_cache_misses_total", COUNTER,

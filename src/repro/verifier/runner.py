@@ -40,7 +40,8 @@ PRUNE_ORDER = "order"
 PRUNE_DISJOINT = "disjoint"
 PRUNE_RW = "rw-disjoint"
 
-#: backends raced by the ``portfolio`` engine, in serial-preference order
+#: backends the ``portfolio`` engine tries, in order: a later lane runs
+#: only when every earlier one left the pair without a definitive verdict
 PORTFOLIO_LANES = ("enum", "smt")
 
 
@@ -99,8 +100,8 @@ def definitive(verdict: PairVerdict) -> bool:
     """Whether every check of ``verdict`` reached a real answer.
 
     ``PASS`` and ``FAIL`` are definitive; ``TIMEOUT`` / ``CONSERVATIVE``
-    / ``UNKNOWN`` are budget or capability artifacts a racing backend
-    might still beat.  The portfolio engine's win condition."""
+    / ``UNKNOWN`` are budget or capability artifacts the next portfolio
+    lane might still resolve.  The portfolio engine's stop condition."""
     outcomes = [
         check.outcome
         for check in (verdict.commutativity, verdict.semantic)
@@ -109,26 +110,6 @@ def definitive(verdict: PairVerdict) -> bool:
     return bool(outcomes) and all(
         o in (Outcome.PASS, Outcome.FAIL) for o in outcomes
     )
-
-
-def portfolio_agreement(a: PairVerdict, b: PairVerdict) -> bool | None:
-    """Cross-check two backends' verdicts for the same pair.
-
-    Returns ``True``/``False`` when at least one check is definitive on
-    both sides (the difftest-style agreement sample the portfolio race
-    yields for free), or ``None`` when no check is comparable — budget
-    artifacts are not disagreements."""
-    comparable = False
-    for ca, cb in ((a.commutativity, b.commutativity),
-                   (a.semantic, b.semantic)):
-        if ca is None or cb is None:
-            continue
-        if (ca.outcome in (Outcome.PASS, Outcome.FAIL)
-                and cb.outcome in (Outcome.PASS, Outcome.FAIL)):
-            comparable = True
-            if ca.outcome != cb.outcome:
-                return False
-    return True if comparable else None
 
 
 def solve_pair(
@@ -144,8 +125,9 @@ def solve_pair(
     ``engine`` selects the verification backend: ``"enum"`` (the bounded
     model finder over concrete states — the default), ``"smt"`` (the
     symbolic engine: Table-2 encoding + finite-domain solver), or
-    ``"portfolio"`` (both in sequence here, raced by the scheduler's
-    lanes: first definitive answer wins).  Enum and SMT are independent
+    ``"portfolio"`` (enum, then SMT only when the enum verdict is not
+    :func:`definitive`; every caller, the scheduler's lanes included,
+    gets this one sequential form).  Enum and SMT are independent
     implementations of the same checking rules and agree on the paper's
     benchmarks (see tests/test_smt_engine.py)."""
     config = config or CheckConfig()
@@ -176,12 +158,12 @@ def _solve_portfolio(
     schema: Schema,
     config: CheckConfig,
 ) -> PairVerdict:
-    """The portfolio engine's in-process form: lanes run in sequence.
+    """The portfolio engine: lanes run in sequence, in one attempt.
 
     The enum lane runs first (cheaper on the common case); a definitive
     answer short-circuits, otherwise the SMT lane gets its shot.  With no
-    definitive answer anywhere the enum verdict is kept — the same order
-    and tie-break as the scheduler's lanes."""
+    definitive answer anywhere the enum verdict is kept, so the verdict
+    depends only on the inputs, never on which lane finishes first."""
     fallback = None
     for lane in PORTFOLIO_LANES:
         verdict = solve_pair(p, q, schema, config, engine=lane)

@@ -25,6 +25,13 @@ def reference_sweep(analysis, config, *, engine: str = "enum"
     return report
 
 
+def untimed(report: VerificationReport) -> list[dict]:
+    """A report's verdict rows without their wall-clock (``*_s``) keys:
+    everything a verdict says that must not depend on scheduling."""
+    return [{k: v for k, v in row.items() if not k.endswith("_s")}
+            for row in report.to_json_obj()["verdicts"]]
+
+
 def reference_search(checker) -> dict[str, tuple[str, dict]]:
     """Each check of a ``PairChecker`` as its own walk over
     ``checker._candidates()``: every candidate replayed from scratch, no

@@ -37,6 +37,8 @@ from repro.engine import (
 from repro.engine.cache import _safe_name
 from repro.engine.chaos import CHAOS_CHECK_CONFIG, _solver_bound_pairs
 
+from helpers import untimed
+
 CFG = CHAOS_CHECK_CONFIG
 POLICY = RetryPolicy(max_attempts=2, backoff_s=0.01)
 #: how long a held-back pair sleeps before it solves normally
@@ -64,11 +66,6 @@ def classes(analysis):
 @pytest.fixture(scope="module")
 def solver_pairs(classes):
     return list(classes)
-
-
-def untimed(report):
-    return [{k: v for k, v in row.items() if not k.endswith("_s")}
-            for row in report.to_json_obj()["verdicts"]]
 
 
 def pair_names(analysis, coords):
@@ -257,8 +254,8 @@ class TestPoolDeath:
         assert len(reason) < 500
 
     def test_portfolio_pool_death_keeps_draining(self, analysis, baseline):
-        # Lane tasks keep their state across the fallback: every pair is
-        # decided once, by the same race rules, in the same loop.
+        # Tasks keep their state across the fallback: every pair is
+        # decided once, by the same sequential portfolio, in the same loop.
         plan = EngineChaosPlan(pool_fail_after=1)
         report = run_pair_sweep(
             analysis, CFG, engine="portfolio", jobs=2, chaos=plan,
@@ -268,10 +265,11 @@ class TestPoolDeath:
         assert metrics["mode"] == "serial"
         assert "injected pool failure" in metrics["fallback_reason"]
         assert metrics["unknowns"] == 0
-        assert sum(metrics["portfolio_wins"].values()) == \
-            metrics["solver_calls"] == baseline.metrics["solver_calls"]
+        assert metrics["solver_calls"] == baseline.metrics["solver_calls"]
         assert report.to_json_obj()["restrictions"] == \
             baseline.to_json_obj()["restrictions"]
+        assert untimed(report) == untimed(
+            run_pair_sweep(analysis, CFG, engine="portfolio"))
 
     def test_pool_creation_failure_reports_reason(self, analysis, baseline,
                                                   monkeypatch):

@@ -454,8 +454,6 @@ class TestInProcessLane:
         assert metrics["fallback_reason"] == ""
         assert report.to_json_obj()["restrictions"] == reference_sweep(
             smallbank_analysis, CFG).to_json_obj()["restrictions"]
-        # the race outcome the sequential portfolio produced before the
-        # in-process lane existed: enum decides every representative
-        assert metrics["portfolio_wins"] == {"enum": 6}
-        assert metrics["portfolio_agreements"] == 0
-        assert metrics["portfolio_disagreements"] == 0
+        assert report.to_json_obj()["restrictions"] == reference_sweep(
+            smallbank_analysis, CFG,
+            engine="portfolio").to_json_obj()["restrictions"]
