@@ -124,6 +124,10 @@ DEFAULT_CHECKPOINT_EVERY = 8
 
 _WORKER: dict = {}
 
+#: a worker's first message: its initializer ran, so a later death is
+#: charged to the pair it was solving, not to the pool's start-up
+_READY = ("ready",)
+
 
 def _worker_init(schema_json: str, paths_json: str, config_args: dict,
                  trace: bool, chaos_obj: dict | None) -> None:
@@ -181,6 +185,7 @@ def _worker_main(conn, init_args: tuple) -> None:
     task.  Only a hard crash (``os._exit``, a signal) silences it — which
     the parent observes as EOF on this pipe."""
     _worker_init(*init_args)
+    conn.send(_READY)
     while True:
         try:
             task = conn.recv()
@@ -473,7 +478,10 @@ def _dispatch(
     pool machinery itself fails, the in-flight pairs (the likely poison)
     are recorded in ``fallback_reason``, the workers are reaped, and the
     same loop keeps draining through the in-process lane; every task
-    keeps its attempt state.
+    keeps its attempt state.  A worker that dies before it reports
+    ready, while the pool has delivered no result, died starting up (say,
+    spawn could not re-import the main module): its task goes back
+    uncharged, and ``n_workers`` such deaths are a pool failure.
 
     A portfolio task is one attempt like any other: ``solve_pair`` runs
     its lanes in sequence.  ``engine`` only tells a fallback retry from
@@ -486,6 +494,7 @@ def _dispatch(
     pooled = jobs > 1 and len(queue) >= 2
     respawns = 0
     results_seen = 0
+    startup_deaths = 0
 
     def emit_pair_span(task: Task, verdict, pid, elapsed, span) -> None:
         """Land one lane result in the trace (graft or record)."""
@@ -563,6 +572,25 @@ def _dispatch(
         state["conn"].close()
         return state["task"]
 
+    def bury(wid: int) -> Task | None:
+        """Reap a dead worker; return its in-flight task when the death
+        is charged to that task.  A start-up death (before the worker's
+        ready message, with no result delivered yet) is the pool's
+        failure: the task is requeued at its attempt state, and the
+        ``n_workers``-th such death fails the pool."""
+        nonlocal startup_deaths
+        started = workers[wid]["started"]
+        task = reap(wid)
+        if started or results_seen:
+            return task
+        startup_deaths += 1
+        if task is not None:
+            pending.insert(0, [task, 0.0])
+        if startup_deaths >= n_workers:
+            raise RuntimeError(f"{startup_deaths} pool workers died during "
+                               f"start-up before any result")
+        return None
+
     def spawn() -> None:
         nonlocal spawned
         parent_conn, child_conn = ctx.Pipe()
@@ -571,7 +599,7 @@ def _dispatch(
         proc.start()
         child_conn.close()  # parent's copy; needed for EOF detection
         workers[spawned] = {"proc": proc, "conn": parent_conn,
-                            "task": None, "deadline": 0.0}
+                            "task": None, "deadline": 0.0, "started": False}
         spawned += 1
 
     def drive_pool() -> None:
@@ -614,10 +642,13 @@ def _dispatch(
             try:
                 msg = conn.recv()
             except (EOFError, OSError):
-                task = reap(wid)
+                task = bury(wid)
                 if task is not None:
                     fail_task(task, CRASH, f"worker exited with code "
                               f"{state['proc'].exitcode}", "worker")
+                continue
+            if msg == _READY:
+                state["started"] = True
                 continue
             state["task"] = None
             results_seen += 1
@@ -647,7 +678,7 @@ def _dispatch(
         # Reap workers that died while idle (rare: init crash).
         for wid in [w for w, state in workers.items()
                     if not state["proc"].is_alive()]:
-            task = reap(wid)
+            task = bury(wid)
             if task is not None:
                 fail_task(task, CRASH, "worker died unexpectedly", "worker")
 

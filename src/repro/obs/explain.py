@@ -381,10 +381,12 @@ def explain_pair(
                      f"pair may run concurrently under PoR.")
     for kind, (status, info) in searched.items():
         if status == "pass":
+            independent = (f"{info['independent']} independent (orders not "
+                           f"replayed); " if kind == "commutativity" else "")
             lines.append(f"  {kind}: {info['exhaustive']} exhaustive + "
                          f"{info['sampled']} sampled ({info['repeats']} "
-                         f"sampled repeats not replayed); PASS coverage: "
-                         f"{info['coverage']}")
+                         f"sampled repeats not replayed); {independent}"
+                         f"PASS coverage: {info['coverage']}")
     return "\n".join(lines).rstrip() + "\n"
 
 

@@ -10,11 +10,18 @@ Execution either *commits* (all guards held; effects applied) or *aborts*
 (a guard failed, a partial query hit an empty set, or a protected relation
 blocked a delete).  ``g_P(x, S)`` — the paper's precondition — is exactly
 "``run_path`` commits".
+
+In apply mode the interpreter can also record a replay's
+:class:`Footprint`: the rows, whole tables and relations it read and
+wrote.  Two effects whose footprints are independent (neither writes
+what the other reads) end in the same state in either order, which lets
+the commutativity search skip replaying both orders.  Recording is off
+unless ``apply_path`` is handed a footprint to fill.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import commands as C
 from . import expr as E
@@ -45,6 +52,44 @@ class Outcome:
     reason: str = ""
 
 
+@dataclass
+class Footprint:
+    """What one apply-mode replay read and wrote, as keys: ``(model, pk)``
+    for a row, the bare ``model`` name for a whole table, ``(relation,)``
+    for a relation's association set.
+
+    ``reads`` holds the rows a ``Deref``, an ``Exists`` or a delete's
+    presence check looked up (found or not), a table key for every scan
+    (``All``, and both ends of a relation hop, whose results are
+    ordered by the table's order map), every row written, and every
+    relation read or written.  ``writes`` holds every row merged or
+    deleted (cascades included), the table key of every model written,
+    and every relation a link, delink, clear-links or delete touched.
+    A replay that aborts keeps what it recorded up to the abort: its
+    reads decided the abort, and its discarded writes over-approximate
+    the (empty) effect."""
+
+    reads: set = field(default_factory=set)
+    writes: set = field(default_factory=set)
+
+    def touch(self, key) -> None:
+        """Record a read-modify-write of ``key``."""
+        self.reads.add(key)
+        self.writes.add(key)
+
+    def independent_of(self, other: "Footprint") -> bool:
+        """Whether neither replay wrote anything the other read.
+
+        Then each effect does the same on the other's result as on the
+        common input, the two touch disjoint rows and relations (every
+        row or relation written is also read), and both orders end in
+        the same tables and associations.  Only the order map can
+        differ, and every order-dependent read is a recorded table
+        scan."""
+        return (self.writes.isdisjoint(other.reads)
+                and other.writes.isdisjoint(self.reads))
+
+
 class Interpreter:
     """Evaluates SOIR expressions and executes commands over a DBState.
 
@@ -59,6 +104,9 @@ class Interpreter:
       fields), merges write unconditionally (constraint anomalies are the
       semantic check's concern, not convergence's), and PROTECT deletes
       proceed, leaving incident associations dangling.
+
+    ``footprint``, in apply mode only, is filled with what the execution
+    reads and writes (:class:`Footprint`).
     """
 
     def __init__(
@@ -68,13 +116,18 @@ class Interpreter:
         env: dict[str, object],
         *,
         mode: str = "run",
+        footprint: Footprint | None = None,
     ):
         self.schema = schema
         self.state = state
         self.env = env
         if mode not in ("run", "apply"):
             raise InterpError(f"unknown interpreter mode {mode!r}")
+        if footprint is not None and mode != "apply":
+            # Run mode's unique checks read whole tables unrecorded.
+            raise InterpError("footprints are recorded in apply mode only")
         self.mode = mode
+        self.footprint = footprint
 
     # ------------------------------------------------------------------
     # Expression evaluation
@@ -193,6 +246,8 @@ class Interpreter:
 
     def _eval_Deref(self, e: E.Deref) -> ObjVal:
         pk = self.eval(e.ref)
+        if self.footprint is not None:
+            self.footprint.reads.add((e.model, pk))
         row = self.state.table(e.model).get(pk)
         if row is None:
             if self.mode == "apply":
@@ -221,6 +276,8 @@ class Interpreter:
 
     def _eval_All(self, e: E.All) -> QuerySetVal:
         model = self.schema.model(e.model)
+        if self.footprint is not None:
+            self.footprint.reads.add(e.model)
         order = self.state.order.get(e.model, {})
         rows = sorted(
             self.state.table(e.model).items(),
@@ -260,6 +317,9 @@ class Interpreter:
             else:
                 src_model, dst_model = rel.target, rel.source
                 mapping = {(b, a) for a, b in pairs}
+            if self.footprint is not None:
+                self.footprint.reads.update(
+                    (src_model, dst_model, (hop.relation,)))
             pk_field = self.schema.model(src_model).pk
             src_pks = {o.fields[pk_field] for o in current}
             dst_pks = {b for a, b in mapping if a in src_pks}
@@ -325,6 +385,8 @@ class Interpreter:
 
     def _eval_Exists(self, e: E.Exists) -> bool:
         pk = self.eval(e.ref)
+        if self.footprint is not None:
+            self.footprint.reads.add((e.model, pk))
         return pk in self.state.table(e.model)
 
     def _eval_MemberOf(self, e: E.MemberOf) -> bool:
@@ -354,8 +416,12 @@ class Interpreter:
         model = self.schema.model(model_name)
         if self.mode != "apply":
             self._check_unique(model, objs)
+        fp = self.footprint
         for obj in objs:
             pk = obj.fields[model.pk]
+            if fp is not None:
+                fp.touch((model_name, pk))
+                fp.writes.add(model_name)
             self.state.insert_row(model_name, pk, obj.fields)
 
     def _check_unique(self, model, objs: list[ObjVal]) -> None:
@@ -408,11 +474,19 @@ class Interpreter:
 
     def _delete_pks(self, model_name: str, pks: set[object]) -> None:
         """Delete rows and apply referential actions, transitively."""
+        fp = self.footprint
+        if fp is not None:
+            fp.reads.update((model_name, pk) for pk in pks)
         pks = {pk for pk in pks if pk in self.state.table(model_name)}
         if not pks:
             return
+        if fp is not None:
+            fp.writes.update((model_name, pk) for pk in pks)
+            fp.writes.add(model_name)
         # Referential actions on relations targeting this model.
         for rel in self.schema.relations_of(model_name):
+            if fp is not None:
+                fp.touch((rel.name,))
             pairs = self.state.relation(rel.name)
             if rel.target == model_name:
                 hit = {(s, t) for s, t in pairs if t in pks}
@@ -450,12 +524,16 @@ class Interpreter:
         rel = self.schema.relation(relation)
         src_pk = src.fields[self.schema.model(rel.source).pk]
         dst_pk = dst.fields[self.schema.model(rel.target).pk]
+        if self.footprint is not None:
+            self.footprint.touch((relation,))
         self.state.relation(relation).discard((src_pk, dst_pk))
 
     def clear_links(self, relation: str, obj: ObjVal, end: str) -> None:
         rel = self.schema.relation(relation)
         side = 0 if end == "source" else 1
         pk = obj.fields[self.schema.model((rel.source, rel.target)[side]).pk]
+        if self.footprint is not None:
+            self.footprint.touch((relation,))
         self.state.assocs[relation] = {
             p for p in self.state.relation(relation) if p[side] != pk
         }
@@ -469,6 +547,8 @@ class Interpreter:
     def _link_one(self, rel, src: ObjVal, dst: ObjVal) -> None:
         src_pk = src.fields[self.schema.model(rel.source).pk]
         dst_pk = dst.fields[self.schema.model(rel.target).pk]
+        if self.footprint is not None:
+            self.footprint.touch((rel.name,))
         pairs = self.state.relation(rel.name)
         if rel.kind == "fk":
             pairs -= {(s, t) for s, t in pairs if s == src_pk}
@@ -569,6 +649,7 @@ def apply_path(
     state: DBState,
     env: dict[str, object],
     schema: Schema,
+    footprint: Footprint | None = None,
 ) -> DBState:
     """Apply ``path``'s *effect* to a clone of ``state``.
 
@@ -578,9 +659,13 @@ def apply_path(
     Guards are therefore skipped.  If the effect is not applicable at all
     (a referenced object vanished, a merge is ill-defined), the application
     no-ops and returns ``state`` itself.  The input is never modified.
+
+    A ``footprint``, when given, is filled with what the application read
+    and wrote (:class:`Footprint`), also when it no-ops.
     """
     working = state.clone()
-    interp = Interpreter(schema, working, env, mode="apply")
+    interp = Interpreter(schema, working, env, mode="apply",
+                         footprint=footprint)
     try:
         for cmd in path.effects:
             interp.exec(cmd)

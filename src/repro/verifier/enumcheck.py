@@ -18,7 +18,11 @@ counterexample finder (§5.2).
 Both rules are decided in one walk over a deterministic candidate stream
 (:meth:`PairChecker.search`): each rule examines the candidates its own
 walk would and stops at its own first witness, and a sampled candidate
-already examined in the walk is counted but not replayed.
+already examined in the walk is counted but not replayed.  A
+commutativity candidate whose two first-level effects are *independent*
+(by their recorded :class:`~repro.soir.interp.Footprint`: neither writes
+a row, table or relation the other read) cannot diverge, so its two
+second-level replays are skipped.
 
 The stream is the canonical suite, then one of two phases.  When the
 scope's whole bounded state space (every state the sampler can draw)
@@ -41,7 +45,7 @@ from typing import Iterator
 
 from ..metrics.registry import inc as _metric_inc, observe as _metric_observe
 from ..obs import tracer as obs
-from ..soir.interp import apply_path, run_path
+from ..soir.interp import Footprint, apply_path, run_path
 from ..soir.path import CodePath
 from ..soir.schema import Schema
 from ..soir.state import DBState
@@ -276,11 +280,17 @@ class PairChecker:
         ends once both are decided, at ``deadline``, or with the stream.
         A sampled candidate whose key was already examined in this walk
         is counted but not replayed: the same paths on the same inputs
-        give the same witness-free answer.
+        give the same witness-free answer.  A commutativity candidate
+        whose first-level effects have independent footprints
+        (:meth:`~repro.soir.interp.Footprint.independent_of`) is decided
+        without its two second-level replays: both orders end in the same
+        state.
 
         ``info`` counts the candidates a check examined, split into
         ``exhaustive`` and ``sampled`` (``repeats``: the sampled ones
-        skipped as repeats), plus ``replay_s``, the seconds spent in that
+        skipped as repeats; ``independent``: the commutativity ones
+        decided without second-level replays, 0 for semantic), plus
+        ``replay_s``, the seconds spent in that
         check's own replays, and ``coverage``: on ``"pass"``,
         ``"exhaustive"`` when the stream walked the whole bounded space
         (:attr:`_bounded_space`) and ``"sampled"`` otherwise; empty on
@@ -295,7 +305,7 @@ class PairChecker:
         """
         p, q, schema = self.p, self.q, self.schema
         # A check's counts are the stream's counts when it is decided.
-        exhaustive = sampled = repeats = 0
+        exhaustive = sampled = repeats = independent = 0
 
         def counts(**witness) -> dict:
             return {"exhaustive": exhaustive, "sampled": sampled,
@@ -307,8 +317,9 @@ class PairChecker:
         clock = time.perf_counter
         feasible_cache: dict = {}
         seen: set = set()
-        # First-level results per memo key, for the current state.
-        apply_p: dict[int, DBState] = {}
+        # First-level results per memo key, for the current state (apply
+        # results with their footprints).
+        apply_p: dict[int, tuple[DBState, Footprint]] = {}
         apply_q = apply_p if p is q else {}
         run_p: dict[int, object] = {}
         run_q = run_p if p is q else {}
@@ -332,21 +343,29 @@ class PairChecker:
                 for memo in (apply_p, apply_q, run_p, run_q):
                     memo.clear()
             if com is None:
-                a_p = apply_p.get(memo_p)
-                if a_p is None:
-                    a_p = apply_p[memo_p] = apply_path(p, state, env_p, schema)
-                a_q = apply_q.get(memo_q)
-                if a_q is None:
-                    a_q = apply_q[memo_q] = apply_path(q, state, env_q, schema)
-                s_pq = apply_path(q, a_p, env_q, schema)
-                s_qp = apply_path(p, a_q, env_p, schema)
-                # A divergence is a witness once both effects are shown
-                # generatable.
-                if (not s_pq.same_state(s_qp)
-                        and self._feasible(p, env_p, feasible_cache)
-                        and self._feasible(q, env_q, feasible_cache)):
-                    com = ("fail", counts(state=state, env_p=env_p,
-                                          env_q=env_q, s_pq=s_pq, s_qp=s_qp))
+                first_p = apply_p.get(memo_p)
+                if first_p is None:
+                    fp = Footprint()
+                    first_p = apply_p[memo_p] = (
+                        apply_path(p, state, env_p, schema, fp), fp)
+                first_q = apply_q.get(memo_q)
+                if first_q is None:
+                    fp = Footprint()
+                    first_q = apply_q[memo_q] = (
+                        apply_path(q, state, env_q, schema, fp), fp)
+                if first_p[1].independent_of(first_q[1]):
+                    independent += 1
+                else:
+                    s_pq = apply_path(q, first_p[0], env_q, schema)
+                    s_qp = apply_path(p, first_q[0], env_p, schema)
+                    # A divergence is a witness once both effects are
+                    # shown generatable.
+                    if (not s_pq.same_state(s_qp)
+                            and self._feasible(p, env_p, feasible_cache)
+                            and self._feasible(q, env_q, feasible_cache)):
+                        com = ("fail", counts(state=state, env_p=env_p,
+                                              env_q=env_q, s_pq=s_pq,
+                                              s_qp=s_qp))
                 then = clock()
                 com_s += then - now
                 now = then
@@ -376,6 +395,8 @@ class PairChecker:
                                         ("semantic", sem, sem_s)):
             status, info = decided or (end, counts())
             info["candidates"] = info["exhaustive"] + info["sampled"]
+            info["independent"] = (independent if kind == "commutativity"
+                                   else 0)
             info["coverage"] = "" if status != "pass" else (
                 "sampled" if self._bounded_space is None else "exhaustive")
             info["replay_s"] = replay_s
@@ -409,7 +430,8 @@ class PairChecker:
             f"enum search {self.p.name} x {self.q.name}", "solver-call",
             wall_s=elapsed, cpu_s=info["cpu_s"], backend="enum", check=kind,
             candidates=info["candidates"], exhaustive=info["exhaustive"],
-            sampled=info["sampled"], repeats=info["repeats"], result=status,
+            sampled=info["sampled"], repeats=info["repeats"],
+            independent=info["independent"], result=status,
             coverage=info["coverage"],
         )
         _metric_inc("noctua_solver_calls_total", backend="enum", result=status)

@@ -1,6 +1,6 @@
 """``tools/check_trace.py`` rejects enum ``solver-call`` records whose
-candidate counters do not add up, or whose PASS does not say what it
-covers."""
+candidate counters do not add up, whose ``independent`` count exceeds
+the candidates replayed, or whose PASS does not say what it covers."""
 
 from __future__ import annotations
 
@@ -13,10 +13,11 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 CHECK_TRACE = REPO_ROOT / "tools" / "check_trace.py"
 
 
-def solver_call(span_id: int, backend: str = "enum", **counters) -> dict:
+def solver_call(span_id: int, backend: str = "enum",
+                check: str = "semantic", **counters) -> dict:
     return {"id": span_id, "parent": None, "name": "enum search P x Q",
             "kind": "solver-call", "pid": 1, "wall_s": 0.1, "cpu_s": 0.1,
-            "attrs": {"backend": backend, "check": "semantic",
+            "attrs": {"backend": backend, "check": check,
                       "result": "pass", **counters}}
 
 
@@ -32,10 +33,13 @@ def check(tmp_path, records) -> subprocess.CompletedProcess:
 def test_accounted_enum_records_pass(tmp_path):
     result = check(tmp_path, [
         solver_call(1, candidates=40, exhaustive=16, sampled=24, repeats=24,
-                    coverage="sampled"),
+                    independent=0, coverage="sampled"),
         solver_call(2, candidates=40, exhaustive=40, sampled=0, repeats=0,
-                    coverage="exhaustive"),
+                    independent=0, coverage="exhaustive"),
         solver_call(3, backend="smt", clauses=10),
+        solver_call(4, check="commutativity", candidates=40, exhaustive=16,
+                    sampled=24, repeats=24, independent=16,
+                    coverage="sampled"),
     ])
     assert result.returncode == 0, result.stdout
 
@@ -43,12 +47,12 @@ def test_accounted_enum_records_pass(tmp_path):
 def test_unaccounted_enum_records_fail(tmp_path):
     result = check(tmp_path, [
         solver_call(1, candidates=40, exhaustive=16, sampled=20, repeats=0,
-                    coverage="sampled"),
+                    independent=0, coverage="sampled"),
         solver_call(2, candidates=40, exhaustive=16, sampled=24, repeats=25,
-                    coverage="sampled"),
+                    independent=0, coverage="sampled"),
         solver_call(3, candidates=40, coverage="sampled"),
         solver_call(4, candidates=40, exhaustive=16, sampled=24, repeats=0,
-                    coverage="sampled"),
+                    independent=0, coverage="sampled"),
     ])
     assert result.returncode == 1
     lines = result.stdout.splitlines()
@@ -59,7 +63,8 @@ def test_unaccounted_enum_records_fail(tmp_path):
 
 
 def test_passes_without_honest_coverage_fail(tmp_path):
-    counters = dict(candidates=40, exhaustive=16, sampled=24, repeats=0)
+    counters = dict(candidates=40, exhaustive=16, sampled=24, repeats=0,
+                    independent=0)
     result = check(tmp_path, [
         solver_call(1, **counters),
         solver_call(2, **counters, coverage="exhaustive"),
@@ -68,7 +73,7 @@ def test_passes_without_honest_coverage_fail(tmp_path):
             "backend": "enum", "check": "semantic", "result": "fail",
             "coverage": "", **counters}},
         solver_call(5, candidates=40, exhaustive=40, sampled=0, repeats=0,
-                    coverage="most"),
+                    independent=0, coverage="most"),
     ])
     assert result.returncode == 1
     lines = result.stdout.splitlines()
@@ -76,3 +81,22 @@ def test_passes_without_honest_coverage_fail(tmp_path):
     assert "line 1" in lines[0] and "PASS without coverage" in lines[0]
     assert "line 2" in lines[1] and "exhaustive PASS drew 24" in lines[1]
     assert "line 5" in lines[2] and "'most'" in lines[2]
+
+
+def test_independent_beyond_the_replayed_candidates_fails(tmp_path):
+    counters = dict(candidates=40, exhaustive=16, sampled=24, repeats=24,
+                    coverage="sampled")
+    result = check(tmp_path, [
+        solver_call(1, check="commutativity", independent=17, **counters),
+        solver_call(2, independent=1, **counters),
+        solver_call(3, check="commutativity", independent="3", **counters),
+        solver_call(4, check="commutativity", independent=16, **counters),
+    ])
+    assert result.returncode == 1
+    lines = result.stdout.splitlines()
+    assert len(lines) == 3
+    assert ("line 1" in lines[0]
+            and "independent 17 > candidates - repeats 16" in lines[0])
+    assert "line 2" in lines[1] and "semantic record with independent 1" \
+        in lines[1]
+    assert "line 3" in lines[2] and "lacks integer counters" in lines[2]

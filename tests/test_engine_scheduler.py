@@ -9,6 +9,10 @@ deterministic — see docs/ENGINE.md."""
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -382,6 +386,43 @@ class TestScheduler:
         assert report.metrics["mode"] == "serial"
         assert "no fork for you" in report.metrics["fallback_reason"]
         assert serial.restriction_pairs() == report.restriction_pairs()
+
+    def test_pool_that_cannot_start_falls_back_to_serial(self):
+        """A sweep run from a script piped to ``python -``: spawn cannot
+        re-import a ``<stdin>`` main, so every worker dies starting up.
+        The pool must give up after ``jobs`` such deaths and finish
+        in-process, not burn every pair's attempts on respawns."""
+        script = (
+            "import json\n"
+            "from repro.analyzer import analyze_application\n"
+            "from repro.apps.smallbank import build_app\n"
+            "from repro.engine import run_pair_sweep\n"
+            "from repro.verifier import CheckConfig\n"
+            "analysis = analyze_application(build_app())\n"
+            "config = CheckConfig()\n"
+            "def pairs(report):\n"
+            "    return sorted(sorted(p) for p in report.restriction_pairs())\n"
+            "serial = run_pair_sweep(analysis, config, jobs=1)\n"
+            "pooled = run_pair_sweep(analysis, config, jobs=2)\n"
+            "print(json.dumps({'serial': pairs(serial),\n"
+            "                  'pooled': pairs(pooled),\n"
+            "                  'metrics': pooled.metrics}))\n"
+        )
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-"], input=script,
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr[-2000:]
+        out = json.loads(done.stdout.strip().splitlines()[-1])
+        metrics = out["metrics"]
+        assert out["pooled"] == out["serial"]
+        assert metrics["unknowns"] == 0
+        assert metrics["mode"] == "serial"
+        assert "start-up" in metrics["fallback_reason"]
+        # two workers started, at most two respawned: never a loop
+        assert 2 + metrics["workers_respawned"] <= 2 * 2
 
     @pytest.mark.parametrize("pooled", [False, True])
     def test_edited_path_invalidates_only_its_pairs(self, tmp_path,

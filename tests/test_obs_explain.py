@@ -110,6 +110,9 @@ class TestUnrestrictedPair:
         for kind in ("commutativity", "semantic"):
             assert re.search(rf"  {kind}: \d+ exhaustive \+ \d+ sampled "
                              rf"\(\d+ sampled repeats not replayed\)", text)
+        # and how many commutativity candidates skipped both replays
+        assert re.search(r"  commutativity: .*\); \d+ independent \(orders "
+                         r"not replayed\); PASS coverage", text)
 
 
 class TestExplainReport:

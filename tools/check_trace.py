@@ -12,8 +12,11 @@ Checks (exits non-zero with a line per failure):
 3. the trace covers the whole pipeline: all of ``--require``'s span
    kinds appear (default: the analysis and verification phases);
 4. every enum ``solver-call`` record accounts for its candidates:
-   it carries ``exhaustive``, ``sampled`` and ``repeats``, with
-   ``exhaustive + sampled == candidates`` and ``repeats <= sampled``;
+   it carries ``exhaustive``, ``sampled``, ``repeats`` and
+   ``independent``, with ``exhaustive + sampled == candidates``,
+   ``repeats <= sampled``, and ``independent`` (candidates decided
+   without second-level replays) at most ``candidates - repeats`` and 0
+   on a semantic record;
 5. every enum ``solver-call`` record of a PASS says what it covers:
    ``coverage`` is ``exhaustive`` or ``sampled``, and an ``exhaustive``
    one drew no samples (``sampled == 0``).
@@ -39,7 +42,8 @@ DEFAULT_KINDS = (
 )
 
 
-ENUM_COUNTERS = ("candidates", "exhaustive", "sampled", "repeats")
+ENUM_COUNTERS = ("candidates", "exhaustive", "sampled", "repeats",
+                 "independent")
 
 
 def enum_accounting(attrs: dict) -> list[str]:
@@ -57,6 +61,15 @@ def enum_accounting(attrs: dict) -> list[str]:
         problems.append(
             f"enum solver-call: repeats {attrs['repeats']} > sampled "
             f"{attrs['sampled']}")
+    replayed = attrs["candidates"] - attrs["repeats"]
+    if attrs.get("check") == "semantic" and attrs["independent"]:
+        problems.append(
+            f"enum solver-call: semantic record with independent "
+            f"{attrs['independent']}")
+    elif attrs["independent"] > replayed:
+        problems.append(
+            f"enum solver-call: independent {attrs['independent']} > "
+            f"candidates - repeats {replayed}")
     if attrs.get("result") == "pass":
         coverage = attrs.get("coverage")
         if coverage not in ("exhaustive", "sampled"):
