@@ -72,6 +72,29 @@ class CodePath:
         once per path, since replication replays it per candidate."""
         return tuple(c for c in self.commands if not isinstance(c, Guard))
 
+    @cached_property
+    def program(self) -> tuple:
+        """The commands compiled for replay, one closure each
+        (:mod:`repro.soir.interp`); compiled on first replay."""
+        from .interp import compile_commands
+
+        return compile_commands(self.commands)
+
+    @cached_property
+    def effect_program(self) -> tuple:
+        """:attr:`program` without the guards: what ``apply_path``
+        replays."""
+        return tuple(step for cmd, step in zip(self.commands, self.program)
+                     if not isinstance(cmd, Guard))
+
+    def __getstate__(self) -> dict:
+        """Pickled and copied without the compiled programs: closures
+        do not pickle, and a copy compiles its own on first replay."""
+        state = dict(self.__dict__)
+        state.pop("program", None)
+        state.pop("effect_program", None)
+        return state
+
     def is_effectful(self) -> bool:
         """Whether this path updates system state (paper §4.1)."""
         if self.aborted:

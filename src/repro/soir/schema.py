@@ -116,6 +116,12 @@ class ModelSchema:
         return tuple(f.name for f in self.fields)
 
     @cached_property
+    def unique_fields(self) -> tuple[str, ...]:
+        """The unique fields other than the pk, in field order."""
+        return tuple(f.name for f in self.fields
+                     if f.unique and f.name != self.pk)
+
+    @cached_property
     def default_row(self) -> dict[str, object]:
         """A row of defaults in field order: ``None`` for nullable fields,
         the type's zero value otherwise (the pk included).  Shared: copy

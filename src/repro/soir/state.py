@@ -131,7 +131,7 @@ def _same_nonempty(a: dict, b: dict) -> bool:
     }
 
 
-@dataclass
+@dataclass(slots=True)
 class ObjVal:
     """A runtime object value: a snapshot of one row of ``model``.
 
@@ -150,7 +150,7 @@ class ObjVal:
         return ObjVal(self.model, new_fields)
 
 
-@dataclass
+@dataclass(slots=True)
 class QuerySetVal:
     """A runtime query set value: an ordered list of object snapshots."""
 

@@ -254,7 +254,9 @@ class PairChecker:
         return states
 
     def _feasible(self, path: CodePath, env: dict, cache: dict) -> bool:
-        """Whether the argument vector can be *generated* at all."""
+        """Whether the argument vector can be *generated* at all.
+        ``cache["__replays__"]`` counts the ``run_path`` replays made
+        deciding it (none when the answer is cached)."""
         key = (id(path), _env_key(env))
         cached = cache.get(key)
         if cached is not None:
@@ -263,9 +265,13 @@ class PairChecker:
         if states is None:
             states = self._feasibility_states()
             cache["__states__"] = states
-        ok = any(
-            run_path(path, state, env, self.schema).committed for state in states
-        )
+        ok, replays = False, 0
+        for state in states:
+            replays += 1
+            if run_path(path, state, env, self.schema).committed:
+                ok = True
+                break
+        cache["__replays__"] = cache.get("__replays__", 0) + replays
         cache[key] = ok
         return ok
 
@@ -289,7 +295,9 @@ class PairChecker:
         ``info`` counts the candidates a check examined, split into
         ``exhaustive`` and ``sampled`` (``repeats``: the sampled ones
         skipped as repeats; ``independent``: the commutativity ones
-        decided without second-level replays, 0 for semantic), plus
+        decided without second-level replays, 0 for semantic;
+        ``feasibility``: the ``run_path`` replays showing a diverging
+        candidate's arguments generatable, 0 for semantic), plus
         ``replay_s``, the seconds spent in that
         check's own replays, and ``coverage``: on ``"pass"``,
         ``"exhaustive"`` when the stream walked the whole bounded space
@@ -390,12 +398,15 @@ class PairChecker:
                 sem_s += clock() - now
             if com is not None and sem is not None:
                 break
+        feasibility = feasible_cache.get("__replays__", 0)
         out = {}
         for kind, decided, replay_s in (("commutativity", com, com_s),
                                         ("semantic", sem, sem_s)):
             status, info = decided or (end, counts())
             info["candidates"] = info["exhaustive"] + info["sampled"]
             info["independent"] = (independent if kind == "commutativity"
+                                   else 0)
+            info["feasibility"] = (feasibility if kind == "commutativity"
                                    else 0)
             info["coverage"] = "" if status != "pass" else (
                 "sampled" if self._bounded_space is None else "exhaustive")
@@ -431,7 +442,8 @@ class PairChecker:
             wall_s=elapsed, cpu_s=info["cpu_s"], backend="enum", check=kind,
             candidates=info["candidates"], exhaustive=info["exhaustive"],
             sampled=info["sampled"], repeats=info["repeats"],
-            independent=info["independent"], result=status,
+            independent=info["independent"],
+            feasibility=info["feasibility"], result=status,
             coverage=info["coverage"],
         )
         _metric_inc("noctua_solver_calls_total", backend="enum", result=status)

@@ -31,6 +31,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 from ..soir import expr as E
 from ..soir.path import Argument, CodePath
@@ -567,9 +568,8 @@ class StateGenerator:
 
         The ``rng`` draws — which, how many, in which order — are part of
         the verdict contract: the candidate stream, and so every verdict,
-        is a function of them.  Every choice is drawn as an index
-        (``rng.choice`` over a ``range`` makes the same draw as over the
-        sequence it indexes, and ``shuffle`` permutes positions alike).
+        is a function of them.  Every choice is drawn as an index with
+        :func:`_draws`' ``below``, and ``shuffle`` permutes positions.
         ``rng`` may also be an :class:`_Odometer`, which walks every
         outcome of these draws (:meth:`all_states`).
 
@@ -579,10 +579,11 @@ class StateGenerator:
         keys mean identical states, and ``1``, ``True`` and ``1.0`` —
         equal as values — still differ as indices."""
         models, relations = self._sampling_plan
+        below, unread = _draws(rng)
         note = (key if key is not None else []).append
         state = self._empty()
         for mname, pk_field, all_pks, fields in models:
-            nrows = rng.randint(0, len(all_pks))
+            nrows = below(len(all_pks) + 1)
             note(nrows)
             table, order = state.tables[mname], state.order[mname]
             used_unique: dict[str, set] = {}
@@ -590,20 +591,20 @@ class StateGenerator:
                 row = {pk_field: pk}
                 for fname, domain, picks, unique in fields:
                     if unique:
-                        # The draw ``choice(picks)`` makes; its outcome
-                        # is never read, so the enumerator skips it.
-                        rng.randrange(len(picks))
+                        # A draw over every pick whose outcome is never
+                        # read, so the enumerator skips it.
+                        unread(len(picks))
                         taken = used_unique.setdefault(fname, set())
                         free = [i for i in picks if domain[i] not in taken]
                         if not free:
                             value = _synthesize_unique(domain, len(taken))
                             index = len(domain)  # no domain value
                         else:
-                            index = rng.choice(free)
+                            index = free[below(len(free))]
                             value = domain[index]
                         taken.add(value)
                     else:
-                        index = rng.choice(picks)
+                        index = below(len(picks))
                         value = domain[index]
                     note(index)
                     row[fname] = value
@@ -626,7 +627,7 @@ class StateGenerator:
                         note(unlinked)
                         if unlinked:
                             continue
-                    index = rng.choice(range(len(targets)))
+                    index = below(len(targets))
                     note(index)
                     pairs.add((src, targets[index]))
             else:
@@ -712,6 +713,31 @@ class StateGenerator:
         return total
 
 
+def _draws(rng) -> tuple[Callable[[int], int], Callable[[int], int]]:
+    """``(below, unread)`` for a sampler's ``rng``.  ``below(n)`` is a
+    uniform int in ``[0, n)`` drawn from ``rng.getrandbits`` by rejection,
+    the draw ``random.Random`` makes for ``randrange(n)``,
+    ``randint(0, n - 1)`` and ``choice`` over ``n`` items, without their
+    call frames; the samplers' streams are defined by it, not by how a
+    Python release implements those methods.  ``unread(n)`` makes the
+    same draw for an outcome the caller never reads.  An
+    :class:`_Odometer` supplies both itself."""
+    if isinstance(rng, _Odometer):
+        return rng.below, rng.unread
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        if n <= 0:
+            raise ValueError("empty range for below()")
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below, below
+
+
 class _Odometer:
     """A stand-in for the ``random.Random`` that :meth:`StateGenerator
     .random_state` draws from, which walks every sequence of draw outcomes
@@ -720,7 +746,7 @@ class _Odometer:
     Each run of ``random_state`` replays the current outcome prefix and
     takes the first outcome at every later draw, noting its arity;
     :meth:`advance` then steps the last draw that has an outcome left,
-    depth first.  ``randrange`` is the draw whose outcome ``random_state``
+    depth first.  ``unread`` is the draw whose outcome ``random_state``
     never reads, so it is not a branch."""
 
     def __init__(self) -> None:
@@ -748,18 +774,15 @@ class _Odometer:
             arity.pop()
         return False
 
-    def randint(self, low: int, high: int) -> int:
-        return low + self._outcome(high - low + 1)
-
-    def choice(self, seq):
-        return seq[self._outcome(len(seq))]
+    def below(self, n: int) -> int:
+        return self._outcome(n)
 
     def random(self) -> float:
         """Below every threshold ``random_state`` compares with, then
         above all of them."""
         return float(self._outcome(2))
 
-    def randrange(self, stop: int) -> int:
+    def unread(self, n: int) -> int:
         return 0
 
     def shuffle(self, seq: list) -> None:
@@ -945,6 +968,7 @@ class ArgSampler:
         verdict contract (see :meth:`StateGenerator.random_state`);
         ``key``, when given, receives each argument's content code, so
         equal keys mean equal environments."""
+        below, _ = _draws(rng)
         note = (key if key is not None else []).append
         envs: tuple[dict, dict] = ({}, {})
         fresh_used: list = []
@@ -955,7 +979,7 @@ class ArgSampler:
                 if self.unique_ids_distinct:
                     pool = [e for e in entries
                             if e[0] not in fresh_used] or entries
-                value, code = rng.choice(pool)
+                value, code = pool[below(len(pool))]
                 fresh_used.append(value)
             else:
                 # Collision bias: conflicts almost always require two
@@ -963,9 +987,9 @@ class ArgSampler:
                 # previously drawn value of the same type half of the time.
                 used = used_by_slot[slot]
                 if used and rng.random() < 0.5:
-                    value, code = rng.choice(used)
+                    value, code = used[below(len(used))]
                 else:
-                    value, code = rng.choice(entries)
+                    value, code = entries[below(len(entries))]
                 used.append((value, code))
             note(code)
             envs[side][name] = value

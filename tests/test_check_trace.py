@@ -1,6 +1,7 @@
 """``tools/check_trace.py`` rejects enum ``solver-call`` records whose
 candidate counters do not add up, whose ``independent`` count exceeds
-the candidates replayed, or whose PASS does not say what it covers."""
+the candidates replayed, whose semantic record counts feasibility
+replays, or whose PASS does not say what it covers."""
 
 from __future__ import annotations
 
@@ -33,13 +34,13 @@ def check(tmp_path, records) -> subprocess.CompletedProcess:
 def test_accounted_enum_records_pass(tmp_path):
     result = check(tmp_path, [
         solver_call(1, candidates=40, exhaustive=16, sampled=24, repeats=24,
-                    independent=0, coverage="sampled"),
+                    independent=0, feasibility=0, coverage="sampled"),
         solver_call(2, candidates=40, exhaustive=40, sampled=0, repeats=0,
-                    independent=0, coverage="exhaustive"),
+                    independent=0, feasibility=0, coverage="exhaustive"),
         solver_call(3, backend="smt", clauses=10),
         solver_call(4, check="commutativity", candidates=40, exhaustive=16,
                     sampled=24, repeats=24, independent=16,
-                    coverage="sampled"),
+                    feasibility=30, coverage="sampled"),
     ])
     assert result.returncode == 0, result.stdout
 
@@ -47,12 +48,12 @@ def test_accounted_enum_records_pass(tmp_path):
 def test_unaccounted_enum_records_fail(tmp_path):
     result = check(tmp_path, [
         solver_call(1, candidates=40, exhaustive=16, sampled=20, repeats=0,
-                    independent=0, coverage="sampled"),
+                    independent=0, feasibility=0, coverage="sampled"),
         solver_call(2, candidates=40, exhaustive=16, sampled=24, repeats=25,
-                    independent=0, coverage="sampled"),
+                    independent=0, feasibility=0, coverage="sampled"),
         solver_call(3, candidates=40, coverage="sampled"),
         solver_call(4, candidates=40, exhaustive=16, sampled=24, repeats=0,
-                    independent=0, coverage="sampled"),
+                    independent=0, feasibility=0, coverage="sampled"),
     ])
     assert result.returncode == 1
     lines = result.stdout.splitlines()
@@ -64,7 +65,7 @@ def test_unaccounted_enum_records_fail(tmp_path):
 
 def test_passes_without_honest_coverage_fail(tmp_path):
     counters = dict(candidates=40, exhaustive=16, sampled=24, repeats=0,
-                    independent=0)
+                    independent=0, feasibility=0)
     result = check(tmp_path, [
         solver_call(1, **counters),
         solver_call(2, **counters, coverage="exhaustive"),
@@ -73,7 +74,7 @@ def test_passes_without_honest_coverage_fail(tmp_path):
             "backend": "enum", "check": "semantic", "result": "fail",
             "coverage": "", **counters}},
         solver_call(5, candidates=40, exhaustive=40, sampled=0, repeats=0,
-                    independent=0, coverage="most"),
+                    independent=0, feasibility=0, coverage="most"),
     ])
     assert result.returncode == 1
     lines = result.stdout.splitlines()
@@ -85,7 +86,7 @@ def test_passes_without_honest_coverage_fail(tmp_path):
 
 def test_independent_beyond_the_replayed_candidates_fails(tmp_path):
     counters = dict(candidates=40, exhaustive=16, sampled=24, repeats=24,
-                    coverage="sampled")
+                    feasibility=0, coverage="sampled")
     result = check(tmp_path, [
         solver_call(1, check="commutativity", independent=17, **counters),
         solver_call(2, independent=1, **counters),
@@ -100,3 +101,22 @@ def test_independent_beyond_the_replayed_candidates_fails(tmp_path):
     assert "line 2" in lines[1] and "semantic record with independent 1" \
         in lines[1]
     assert "line 3" in lines[2] and "lacks integer counters" in lines[2]
+
+
+def test_feasibility_replays_must_be_counted(tmp_path):
+    counters = dict(candidates=40, exhaustive=16, sampled=24, repeats=24,
+                    independent=0, coverage="sampled")
+    result = check(tmp_path, [
+        solver_call(1, check="commutativity", feasibility=12, **counters),
+        solver_call(2, feasibility=3, **counters),
+        solver_call(3, check="commutativity", **counters),
+        solver_call(4, check="commutativity", feasibility=1.5, **counters),
+        solver_call(5, feasibility=0, **counters),
+    ])
+    assert result.returncode == 1
+    lines = result.stdout.splitlines()
+    assert len(lines) == 3
+    assert "line 2" in lines[0] and "semantic record with feasibility 3" \
+        in lines[0]
+    assert "line 3" in lines[1] and "'feasibility'" in lines[1]
+    assert "line 4" in lines[2] and "'feasibility'" in lines[2]

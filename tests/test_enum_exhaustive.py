@@ -32,7 +32,7 @@ from repro.soir.types import INT
 from repro.verifier import CheckConfig, PairChecker
 from repro.verifier.restrictions import (Outcome, verdict_from_obj,
                                          verdict_to_obj)
-from repro.verifier.scopes import Scope, StateGenerator
+from repro.verifier.scopes import Scope, StateGenerator, _draws
 
 APPS = {"smallbank": build_smallbank, "courseware": build_courseware,
         "todo": build_todo}
@@ -144,6 +144,23 @@ def constrained_scope() -> Scope:
                        ("Note", "n"): [0]},
         type_domains={INT: [0, 1]},
     )
+
+
+def test_below_draws_as_random_does():
+    """``below`` consumes the ``getrandbits`` stream exactly as
+    ``randrange``, ``randint`` and ``choice`` do, and refuses an empty
+    range."""
+    for seed in range(20):
+        mine, ref = random.Random(seed), random.Random(seed)
+        below, unread = _draws(mine)
+        assert unread is below
+        for n in (1, 2, 3, 5, 7, 8, 9, 16, 31, 100, 1000):
+            assert below(n) == ref.randrange(n)
+            assert below(n + 1) == ref.randint(0, n)
+            assert below(n) == ref.choice(range(n))
+            assert mine.random() == ref.random()
+    with pytest.raises(ValueError):
+        below(0)
 
 
 def test_enumeration_over_every_sampler_branch():

@@ -172,3 +172,34 @@ def test_the_walk_pools_both_budgets():
         assert result.outcome == Outcome.TIMEOUT
     for status, info in checker._searched.values():
         assert (status, info["candidates"]) == ("timeout", 0)
+
+
+def test_feasibility_counts_the_replays_of_the_feasibility_check(
+        representatives, monkeypatch):
+    """``feasibility`` on the commutativity info is exactly the
+    ``run_path`` calls made inside ``_feasible``; semantic says 0."""
+    inside = {"depth": 0, "replays": 0}
+    run_path, feasible = enumcheck.run_path, PairChecker._feasible
+
+    def counting(*args):
+        if inside["depth"]:
+            inside["replays"] += 1
+        return run_path(*args)
+
+    def nested(self, *args):
+        inside["depth"] += 1
+        try:
+            return feasible(self, *args)
+        finally:
+            inside["depth"] -= 1
+
+    monkeypatch.setattr(enumcheck, "run_path", counting)
+    monkeypatch.setattr(PairChecker, "_feasible", nested)
+    total = 0
+    for app, p, q, schema in representatives:
+        inside["replays"] = 0
+        walk = PairChecker(p, q, schema).search(float("inf"))
+        assert walk["semantic"][1]["feasibility"] == 0
+        assert walk["commutativity"][1]["feasibility"] == inside["replays"]
+        total += inside["replays"]
+    assert total > 0

@@ -1,5 +1,7 @@
 """Tests of the SOIR reference interpreter against the blog schema."""
 
+import copy
+import pickle
 from dataclasses import dataclass
 
 import pytest
@@ -15,8 +17,8 @@ from repro.soir import (
     precondition_holds,
 )
 from repro.soir.interp import (
-    _EVALUATORS,
-    _EXECUTORS,
+    _COMMAND_COMPILERS,
+    _EXPR_COMPILERS,
     Interpreter,
     InterpError,
     PathAborted,
@@ -34,6 +36,8 @@ from repro.soir.types import (
     Order,
     RefType,
 )
+from repro.soir.schema import SchemaError
+from repro.soir.serialize import path_to_obj
 
 from helpers import blog_schema, blog_state
 
@@ -404,11 +408,14 @@ def _concrete_nodes(base: type, module) -> set[type]:
 
 
 class TestDispatch:
+    """Each node class compiles, through a table keyed by class, to the
+    closure that evaluates or executes it."""
+
     def test_every_expression_class_has_an_evaluator(self):
-        assert _concrete_nodes(E.Expr, E) == set(_EVALUATORS)
+        assert _concrete_nodes(E.Expr, E) == set(_EXPR_COMPILERS)
 
     def test_every_command_class_has_an_executor(self):
-        assert _concrete_nodes(C.Command, C) == set(_EXECUTORS)
+        assert _concrete_nodes(C.Command, C) == set(_COMMAND_COMPILERS)
 
     def test_unknown_nodes_raise_interp_error(self, schema, state):
         @dataclass(frozen=True)
@@ -423,6 +430,55 @@ class TestDispatch:
             interp(schema, state).eval(Mystery())
         with pytest.raises(InterpError, match="no executor for Shrug"):
             interp(schema, state).exec(Shrug())
+        mystery = CodePath("t", (), (C.Guard(Mystery()),))
+        assert mystery.program  # compiles without raising
         with pytest.raises(InterpError, match="no evaluator for Mystery"):
-            run_path(CodePath("t", (), (C.Guard(Mystery()),)), state, {},
-                     schema)
+            run_path(mystery, state, {}, schema)
+        # Behind a failing guard the unknown node is never evaluated.
+        guarded = CodePath("t", (), (C.Guard(E.false()),
+                                     C.Guard(Mystery())))
+        assert run_path(guarded, state, {}, schema).reason == "guard failed"
+
+    def test_ill_formed_new_behind_failing_guard_aborts(self, schema, state):
+        """A ``new<µ>`` of an unknown model, or missing a field, raises
+        only when evaluated: behind a failing guard the path aborts."""
+        for bad in (E.MakeObj("Nowhere", (("id", E.intlit(9)),)),
+                    E.MakeObj("Article", (("id", E.intlit(9)),))):
+            insert = C.Update(E.Singleton(bad))
+            guarded = CodePath("t", (), (C.Guard(E.false()), insert))
+            out = run_path(guarded, state, {}, schema)
+            assert not out.committed and out.reason == "guard failed"
+            assert out.state is state
+            with pytest.raises((SchemaError, InterpError),
+                               match="Nowhere|missing field"):
+                run_path(CodePath("t", (), (insert,)), state, {}, schema)
+
+    def test_replayed_path_pickles_copies_compares_and_hashes(self, schema,
+                                                              state):
+        """The compiled program is a cache on the path: it stays out of
+        equality, hashing, serialization, pickles and copies."""
+
+        def build() -> CodePath:
+            return CodePath("t", (Argument("a", INT),), (
+                C.Guard(E.Exists("Article", E.Var("a", INT))),
+                C.Delete(E.Singleton(E.Deref(E.Var("a", INT), "Article"))),
+            ))
+
+        path, fresh = build(), build()
+        env = {"a": 1}
+        run = run_path(path, state, env, schema)
+        applied = apply_path(path, state, env, schema)
+        assert "program" in vars(path) and "effect_program" in vars(path)
+        assert path == fresh and hash(path) == hash(fresh)
+        assert path_to_obj(path) == path_to_obj(fresh)
+        assert pickle.dumps(path) == pickle.dumps(fresh)
+        for twin in (pickle.loads(pickle.dumps(path)), copy.deepcopy(path),
+                     copy.copy(path)):
+            assert "program" not in vars(twin)
+            assert twin == path and hash(twin) == hash(path)
+            again = run_path(twin, state, env, schema)
+            assert (again.committed, again.reason) == (run.committed,
+                                                      run.reason)
+            assert again.state.same_state(run.state, with_order=True)
+            assert apply_path(twin, state, env, schema).same_state(
+                applied, with_order=True)

@@ -16,7 +16,9 @@ Checks (exits non-zero with a line per failure):
    ``independent``, with ``exhaustive + sampled == candidates``,
    ``repeats <= sampled``, and ``independent`` (candidates decided
    without second-level replays) at most ``candidates - repeats`` and 0
-   on a semantic record;
+   on a semantic record; it also carries ``feasibility`` (the
+   ``run_path`` replays of the feasibility check), 0 on a semantic
+   record;
 5. every enum ``solver-call`` record of a PASS says what it covers:
    ``coverage`` is ``exhaustive`` or ``sampled``, and an ``exhaustive``
    one drew no samples (``sampled == 0``).
@@ -43,7 +45,7 @@ DEFAULT_KINDS = (
 
 
 ENUM_COUNTERS = ("candidates", "exhaustive", "sampled", "repeats",
-                 "independent")
+                 "independent", "feasibility")
 
 
 def enum_accounting(attrs: dict) -> list[str]:
@@ -70,6 +72,10 @@ def enum_accounting(attrs: dict) -> list[str]:
         problems.append(
             f"enum solver-call: independent {attrs['independent']} > "
             f"candidates - repeats {replayed}")
+    if attrs.get("check") == "semantic" and attrs["feasibility"]:
+        problems.append(
+            f"enum solver-call: semantic record with feasibility "
+            f"{attrs['feasibility']}")
     if attrs.get("result") == "pass":
         coverage = attrs.get("coverage")
         if coverage not in ("exhaustive", "sampled"):
