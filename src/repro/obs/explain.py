@@ -381,11 +381,13 @@ def explain_pair(
                      f"pair may run concurrently under PoR.")
     for kind, (status, info) in searched.items():
         if status == "pass":
-            independent = (f"{info['independent']} independent (orders not "
-                           f"replayed); " if kind == "commutativity" else "")
+            skipped = (f"{info['infeasible']} ungeneratable (not "
+                       f"replayed); {info['independent']} independent "
+                       f"(orders not replayed); "
+                       if kind == "commutativity" else "")
             lines.append(f"  {kind}: {info['exhaustive']} exhaustive + "
                          f"{info['sampled']} sampled ({info['repeats']} "
-                         f"sampled repeats not replayed); {independent}"
+                         f"sampled repeats not replayed); {skipped}"
                          f"PASS coverage: {info['coverage']}")
     return "\n".join(lines).rstrip() + "\n"
 

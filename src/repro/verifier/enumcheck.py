@@ -3,10 +3,12 @@
 Both checking rules (paper §2.2.1) are decided by searching the finite
 scope for witnesses:
 
-* **commutativity** — find ``S, x, y`` with both preconditions holding at
-  ``S`` (the concurrent operations' common ancestor state) such that
-  *applying* the two effects (replication semantics: guards skipped, an
-  inapplicable effect no-ops) in the two orders diverges;
+* **commutativity** — find ``S, x, y`` such that *applying* the two
+  effects (replication semantics: guards skipped, an inapplicable effect
+  no-ops) to ``S`` in the two orders diverges, where each effect can be
+  *generated*: its precondition holds on some fresh state of its own
+  originating site (paper §5.2; the feasibility states of
+  :meth:`PairChecker._feasible`), not necessarily at ``S``;
 * **semantic** (``NotInvalidate(P, Q)``) — find ``S, x, y`` with
   ``g_P(x, S)`` and ``g_Q(y, S)`` but ``¬g_P(x, S + Q(y))``.
 
@@ -22,7 +24,10 @@ already examined in the walk is counted but not replayed.  A
 commutativity candidate whose two first-level effects are *independent*
 (by their recorded :class:`~repro.soir.interp.Footprint`: neither writes
 a row, table or relation the other read) cannot diverge, so its two
-second-level replays are skipped.
+second-level replays are skipped.  A candidate that cannot be a witness
+is not replayed at all: a commutativity candidate with an ungeneratable
+argument vector, and the semantic check's ``q`` side once ``p``'s
+precondition failed.
 
 The stream is the canonical suite, then one of two phases.  When the
 scope's whole bounded state space (every state the sampler can draw)
@@ -256,11 +261,14 @@ class PairChecker:
     def _feasible(self, path: CodePath, env: dict, cache: dict) -> bool:
         """Whether the argument vector can be *generated* at all.
         ``cache["__replays__"]`` counts the ``run_path`` replays made
-        deciding it (none when the answer is cached)."""
+        deciding it and ``cache["__seconds__"]`` the seconds spent, the
+        feasibility states' construction included (neither grows when the
+        answer is cached)."""
         key = (id(path), _env_key(env))
         cached = cache.get(key)
         if cached is not None:
             return cached
+        started = time.perf_counter()
         states = cache.get("__states__")
         if states is None:
             states = self._feasibility_states()
@@ -272,6 +280,8 @@ class PairChecker:
                 ok = True
                 break
         cache["__replays__"] = cache.get("__replays__", 0) + replays
+        cache["__seconds__"] = (cache.get("__seconds__", 0.0)
+                                + time.perf_counter() - started)
         cache[key] = ok
         return ok
 
@@ -290,15 +300,22 @@ class PairChecker:
         whose first-level effects have independent footprints
         (:meth:`~repro.soir.interp.Footprint.independent_of`) is decided
         without its two second-level replays: both orders end in the same
-        state.
+        state.  Only a candidate that can be a witness is replayed at all:
+        a commutativity candidate with an argument vector no feasibility
+        state generates (:meth:`_feasible`) is skipped before its applies
+        — decided up front for an exhaustive candidate, whose env recurs
+        on every state, and on a cached "no" for a sampled one — and the
+        semantic check runs ``q``'s first-level replay only when ``p``'s
+        committed.
 
         ``info`` counts the candidates a check examined, split into
         ``exhaustive`` and ``sampled`` (``repeats``: the sampled ones
         skipped as repeats; ``independent``: the commutativity ones
-        decided without second-level replays, 0 for semantic;
-        ``feasibility``: the ``run_path`` replays showing a diverging
-        candidate's arguments generatable, 0 for semantic), plus
-        ``replay_s``, the seconds spent in that
+        decided without second-level replays; ``infeasible``: the
+        commutativity ones skipped as ungeneratable, with no replay;
+        ``feasibility``/``feasibility_s``: the ``run_path`` replays and
+        seconds spent deciding generatability; all four 0 for semantic),
+        plus ``replay_s``, the seconds spent in that
         check's own replays, and ``coverage``: on ``"pass"``,
         ``"exhaustive"`` when the stream walked the whole bounded space
         (:attr:`_bounded_space`) and ``"sampled"`` otherwise; empty on
@@ -313,7 +330,7 @@ class PairChecker:
         """
         p, q, schema = self.p, self.q, self.schema
         # A check's counts are the stream's counts when it is decided.
-        exhaustive = sampled = repeats = independent = 0
+        exhaustive = sampled = repeats = independent = infeasible = 0
 
         def counts(**witness) -> dict:
             return {"exhaustive": exhaustive, "sampled": sampled,
@@ -324,6 +341,22 @@ class PairChecker:
         end = "pass"
         clock = time.perf_counter
         feasible_cache: dict = {}
+        # Generatability of the env plan's envs, by their interned ids: a
+        # hit builds no content key.
+        gen_p: dict[int, bool] = {}
+        gen_q = gen_p if p is q else {}
+
+        def generatable(gen: dict, memo: int, path: CodePath,
+                        env: dict) -> bool:
+            ok = gen.get(memo)
+            if ok is None:
+                ok = gen[memo] = self._feasible(path, env, feasible_cache)
+            return ok
+
+        def refuted(path: CodePath, env: dict) -> bool:
+            # a "no" that ``_feasible`` already cached, under its own key
+            return feasible_cache.get((id(path), _env_key(env))) is False
+
         seen: set = set()
         # First-level results per memo key, for the current state (apply
         # results with their footprints).
@@ -351,46 +384,66 @@ class PairChecker:
                 for memo in (apply_p, apply_q, run_p, run_q):
                     memo.clear()
             if com is None:
-                first_p = apply_p.get(memo_p)
-                if first_p is None:
-                    fp = Footprint()
-                    first_p = apply_p[memo_p] = (
-                        apply_path(p, state, env_p, schema, fp), fp)
-                first_q = apply_q.get(memo_q)
-                if first_q is None:
-                    fp = Footprint()
-                    first_q = apply_q[memo_q] = (
-                        apply_path(q, state, env_q, schema, fp), fp)
-                if first_p[1].independent_of(first_q[1]):
-                    independent += 1
+                # A divergence is a witness only when both effects are
+                # generatable.  An exhaustive env recurs on every state,
+                # so it is decided before the applies; a sampled one is
+                # skipped only on a known "no" and otherwise decided
+                # after it diverges.
+                if sample_key is None:
+                    skip = not (generatable(gen_p, memo_p, p, env_p)
+                                and generatable(gen_q, memo_q, q, env_q))
                 else:
-                    s_pq = apply_path(q, first_p[0], env_q, schema)
-                    s_qp = apply_path(p, first_q[0], env_p, schema)
-                    # A divergence is a witness once both effects are
-                    # shown generatable.
-                    if (not s_pq.same_state(s_qp)
-                            and self._feasible(p, env_p, feasible_cache)
-                            and self._feasible(q, env_q, feasible_cache)):
-                        com = ("fail", counts(state=state, env_p=env_p,
-                                              env_q=env_q, s_pq=s_pq,
-                                              s_qp=s_qp))
+                    skip = refuted(p, env_p) or refuted(q, env_q)
+                if skip:
+                    infeasible += 1
+                else:
+                    first_p = apply_p.get(memo_p)
+                    if first_p is None:
+                        fp = Footprint()
+                        first_p = apply_p[memo_p] = (
+                            apply_path(p, state, env_p, schema, fp), fp)
+                    first_q = apply_q.get(memo_q)
+                    if first_q is None:
+                        fp = Footprint()
+                        first_q = apply_q[memo_q] = (
+                            apply_path(q, state, env_q, schema, fp), fp)
+                    if first_p[1].independent_of(first_q[1]):
+                        independent += 1
+                    else:
+                        s_pq = apply_path(q, first_p[0], env_q, schema)
+                        s_qp = apply_path(p, first_q[0], env_p, schema)
+                        if not s_pq.same_state(s_qp) and (
+                                sample_key is None
+                                or (self._feasible(p, env_p, feasible_cache)
+                                    and self._feasible(q, env_q,
+                                                       feasible_cache))):
+                            com = ("fail", counts(state=state, env_p=env_p,
+                                                  env_q=env_q, s_pq=s_pq,
+                                                  s_qp=s_qp))
                 then = clock()
                 com_s += then - now
                 now = then
             if sem is None:
+                # A witness needs both first-level runs to commit, so
+                # ``q``'s is not run after ``p``'s aborted.
                 out_p = run_p.get(memo_p)
                 if out_p is None:
                     out_p = run_p[memo_p] = run_path(p, state, env_p, schema)
-                out_q = run_q.get(memo_q)
-                if out_q is None:
-                    out_q = run_q[memo_q] = run_path(q, state, env_q, schema)
                 after = direction = None
-                if out_p.committed and out_q.committed:
-                    if not run_path(p, out_q.state, env_p, schema).committed:
-                        after, direction = out_q.state, "Q invalidates P"
-                    elif not run_path(q, out_p.state, env_q,
-                                      schema).committed:
-                        after, direction = out_p.state, "P invalidates Q"
+                if out_p.committed:
+                    out_q = run_q.get(memo_q)
+                    if out_q is None:
+                        out_q = run_q[memo_q] = run_path(q, state, env_q,
+                                                         schema)
+                    if out_q.committed:
+                        if not run_path(p, out_q.state, env_p,
+                                        schema).committed:
+                            after = out_q.state
+                            direction = "Q invalidates P"
+                        elif not run_path(q, out_p.state, env_q,
+                                          schema).committed:
+                            after = out_p.state
+                            direction = "P invalidates Q"
                 if direction is not None:
                     sem = ("fail", counts(state=state, env_p=env_p,
                                           env_q=env_q, after=after,
@@ -398,16 +451,17 @@ class PairChecker:
                 sem_s += clock() - now
             if com is not None and sem is not None:
                 break
-        feasibility = feasible_cache.get("__replays__", 0)
+        # Counters only the commutativity check keeps (0 on semantic).
+        com_only = {"independent": independent, "infeasible": infeasible,
+                    "feasibility": feasible_cache.get("__replays__", 0),
+                    "feasibility_s": feasible_cache.get("__seconds__", 0.0)}
         out = {}
         for kind, decided, replay_s in (("commutativity", com, com_s),
                                         ("semantic", sem, sem_s)):
             status, info = decided or (end, counts())
             info["candidates"] = info["exhaustive"] + info["sampled"]
-            info["independent"] = (independent if kind == "commutativity"
-                                   else 0)
-            info["feasibility"] = (feasibility if kind == "commutativity"
-                                   else 0)
+            for name, value in com_only.items():
+                info[name] = value if kind == "commutativity" else 0
             info["coverage"] = "" if status != "pass" else (
                 "sampled" if self._bounded_space is None else "exhaustive")
             info["replay_s"] = replay_s
@@ -442,8 +496,11 @@ class PairChecker:
             wall_s=elapsed, cpu_s=info["cpu_s"], backend="enum", check=kind,
             candidates=info["candidates"], exhaustive=info["exhaustive"],
             sampled=info["sampled"], repeats=info["repeats"],
-            independent=info["independent"],
-            feasibility=info["feasibility"], result=status,
+            independent=info["independent"], infeasible=info["infeasible"],
+            feasibility=info["feasibility"],
+            # rounded as trace export rounds ``wall_s``, so the share
+            # stays within it
+            feasibility_s=round(info["feasibility_s"], 6), result=status,
             coverage=info["coverage"],
         )
         _metric_inc("noctua_solver_calls_total", backend="enum", result=status)

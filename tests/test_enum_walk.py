@@ -1,10 +1,12 @@
 """The enum checker's one walk per pair.
 
 ``PairChecker.search`` reads the candidate stream once and decides both
-checks, skipping sampled candidates it has already examined.  These tests
-hold it to the per-check reference walks (``helpers.reference_search``)
-on every representative of three apps, check that the repeat key never
-merges two different draws, and check the per-check accounting on the
+checks, skipping sampled candidates it has already examined and
+replaying no candidate that cannot be a witness.  These tests hold it to
+the per-check reference walks (``helpers.reference_search``) on every
+representative of three apps, check that the repeat key never merges two
+different draws, that every candidate skipped unreplayed could not have
+been a witness, and check the per-check accounting on the
 ``solver-call`` records.
 """
 
@@ -22,8 +24,10 @@ from repro.apps.smallbank import build_app as build_smallbank
 from repro.apps.todo import build_app as build_todo
 from repro.engine.reduction import ROUTE_SOLVE, plan_sweep
 from repro.obs import tracer as obs
-from repro.soir import Argument, RelationSchema, Schema, make_model
-from repro.soir.types import INT
+from repro.soir import (Argument, CodePath, RelationSchema, Schema,
+                        commands as C, expr as E, make_model)
+from repro.soir.interp import apply_path
+from repro.soir.types import INT, Comparator
 from repro.verifier import CheckConfig, PairChecker
 from repro.verifier.restrictions import Outcome
 from repro.verifier.scopes import ArgSampler, Scope, StateGenerator
@@ -163,6 +167,24 @@ def test_solver_call_records_split_the_walk(monkeypatch):
     assert sum(r.wall_s for r in records) <= walk_s
 
 
+def test_solver_call_records_carry_the_generatability_skips():
+    """The commutativity record says how many candidates it skipped as
+    ungeneratable and the seconds its generatability scans took, a share
+    of its own wall time; the semantic record says 0 for both."""
+    path, schema = deposit_checking()
+    tracer = obs.Tracer()
+    checker = PairChecker(path, path, schema)
+    with obs.activate(tracer):
+        checker.check_commutativity()
+        checker.check_semantic()
+    com, sem = [s for root in tracer.roots for s in root.walk()
+                if s.kind == "solver-call"]
+    assert com.attrs["infeasible"] == checker._searched[
+        "commutativity"][1]["infeasible"] > 0
+    assert 0 < com.attrs["feasibility_s"] <= com.wall_s
+    assert (sem.attrs["infeasible"], sem.attrs["feasibility_s"]) == (0, 0)
+
+
 def test_the_walk_pools_both_budgets():
     """One deadline covers the walk: an exhausted budget times out both
     checks before either examines a candidate."""
@@ -203,3 +225,109 @@ def test_feasibility_counts_the_replays_of_the_feasibility_check(
         assert walk["commutativity"][1]["feasibility"] == inside["replays"]
         total += inside["replays"]
     assert total > 0
+
+
+def test_an_ungeneratable_divergence_is_skipped_for_a_later_witness():
+    """The first diverging candidate sets ``a`` below the guard of ``p``,
+    so no feasibility state generates it; the walk skips it unreplayed
+    and reports the later witness the reference walk finds."""
+    schema = Schema()
+    schema.add_model(make_model("Counter", {"v": INT}))
+    schema.validate()
+    row = E.Deref(E.intlit(1), "Counter")
+
+    def set_v(name: str, var: E.Var, *guard) -> CodePath:
+        return CodePath(name, (Argument(var.name, INT),), (
+            *guard, C.Update(E.Singleton(E.SetField("v", var, row)))))
+
+    a = E.Var("a", INT)
+    p = set_v("SetAtLeast3", a,
+              C.Guard(E.Cmp(Comparator.GE, a, E.intlit(3))))
+    q = set_v("Set", E.Var("b", INT))
+    checker = PairChecker(p, q, schema)
+    first = next(
+        (env_p, env_q) for state, env_p, env_q, *_ in checker._candidates()
+        if not apply_path(q, apply_path(p, state, env_p, schema), env_q,
+                          schema).same_state(
+            apply_path(p, apply_path(q, state, env_q, schema), env_p,
+                       schema)))
+    assert not checker._feasible(p, first[0], {})
+
+    status, info = checker.search(float("inf"))["commutativity"]
+    ref_status, ref = reference_search(PairChecker(p, q, schema))[
+        "commutativity"]
+    assert (status, ref_status) == ("fail", "fail")
+    assert (info["env_p"], info["env_q"]) != first
+    assert info["candidates"] == ref["candidates"]
+    for name in ("env_p", "env_q"):
+        assert repr(info[name]) == repr(ref[name])
+    for name in ("state", "s_pq", "s_qp"):
+        assert (info[name].canonical(with_order=True)
+                == ref[name].canonical(with_order=True))
+    assert info["infeasible"] >= 1
+
+
+def test_no_replay_for_a_candidate_that_cannot_be_a_witness(
+        representatives, monkeypatch):
+    """Every commutativity candidate the walk skips unreplayed has a side
+    that a feasibility check outside the walk refuses, and the semantic
+    check makes no first-level ``q`` run after ``p``'s aborted."""
+    run_path, feasible = enumcheck.run_path, PairChecker._feasible
+    independent_of = enumcheck.Footprint.independent_of
+    walk: dict = {}
+
+    def candidates(self):
+        for candidate in stream(self):
+            walk["current"] = candidate
+            walk["log"].append([candidate, False])
+            yield candidate
+
+    def reached(self, other):
+        walk["log"][-1][1] = True
+        return independent_of(self, other)
+
+    def nested(self, *args):
+        walk["feasibility"] += 1
+        try:
+            return feasible(self, *args)
+        finally:
+            walk["feasibility"] -= 1
+
+    def first_level_runs(path, state, env, schema):
+        checker = walk["checker"]
+        current, env_p, env_q, *_ = walk["current"]
+        if (not walk["feasibility"] and path is checker.q
+                and state is current and env is env_q and env is not env_p):
+            walk["q_runs"] += 1
+            assert run_path(checker.p, state, env_p, schema).committed
+        return run_path(path, state, env, schema)
+
+    stream = PairChecker._candidates
+    monkeypatch.setattr(PairChecker, "_candidates", candidates)
+    monkeypatch.setattr(PairChecker, "_feasible", nested)
+    monkeypatch.setattr(enumcheck.Footprint, "independent_of", reached)
+    monkeypatch.setattr(enumcheck, "run_path", first_level_runs)
+    skipped_total = q_runs = 0
+    for app, p, q, schema in representatives:
+        checker = PairChecker(p, q, schema)
+        walk.update(checker=checker, log=[], feasibility=0, q_runs=0)
+        status, info = checker.search(float("inf"))["commutativity"]
+        q_runs += walk["q_runs"]
+        seen, skipped = set(), []
+        for (state, env_p, env_q, _, _, key), replayed in \
+                walk["log"][:info["candidates"]]:
+            if key is not None:
+                if key in seen:
+                    continue
+                seen.add(key)
+            if not replayed:
+                skipped.append((env_p, env_q))
+        # The witness candidate itself diverged, so it was replayed.
+        assert len(skipped) == info["infeasible"], (app, p.name, q.name)
+        fresh: dict = {}  # this audit's own cache, not the walk's
+        for env_p, env_q in skipped:
+            assert not (feasible(checker, p, env_p, fresh)
+                        and feasible(checker, q, env_q, fresh)), (
+                app, p.name, q.name, env_p, env_q)
+        skipped_total += len(skipped)
+    assert skipped_total > 0 and q_runs > 0

@@ -114,6 +114,17 @@ class TestUnrestrictedPair:
         assert re.search(r"  commutativity: .*\); \d+ independent \(orders "
                          r"not replayed\); PASS coverage", text)
 
+    def test_reports_candidates_skipped_as_ungeneratable(
+            self, smallbank_analysis):
+        text = explain_pair(
+            smallbank_analysis, "DepositChecking[1]", "DepositChecking[1]",
+            CFG
+        )
+        assert "NOT RESTRICTED" in text
+        skipped = re.search(r"  commutativity: .*\); (\d+) ungeneratable "
+                            r"\(not replayed\); \d+ independent", text)
+        assert skipped and int(skipped.group(1)) > 0
+
 
 class TestExplainReport:
     def test_covers_every_restriction(self, courseware_analysis):

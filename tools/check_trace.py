@@ -12,13 +12,15 @@ Checks (exits non-zero with a line per failure):
 3. the trace covers the whole pipeline: all of ``--require``'s span
    kinds appear (default: the analysis and verification phases);
 4. every enum ``solver-call`` record accounts for its candidates:
-   it carries ``exhaustive``, ``sampled``, ``repeats`` and
-   ``independent``, with ``exhaustive + sampled == candidates``,
-   ``repeats <= sampled``, and ``independent`` (candidates decided
-   without second-level replays) at most ``candidates - repeats`` and 0
-   on a semantic record; it also carries ``feasibility`` (the
-   ``run_path`` replays of the feasibility check), 0 on a semantic
-   record;
+   it carries the integer counters ``exhaustive``, ``sampled``,
+   ``repeats``, ``independent``, ``infeasible`` and ``feasibility``,
+   with ``exhaustive + sampled == candidates`` and ``repeats <=
+   sampled``; ``independent`` (candidates decided without second-level
+   replays) plus ``infeasible`` (candidates skipped as ungeneratable) is
+   at most ``candidates - repeats``; ``feasibility_s`` (the seconds
+   spent deciding generatability, whose ``run_path`` replays
+   ``feasibility`` counts) lies between 0 and the record's ``wall_s``;
+   a semantic record has all four at 0;
 5. every enum ``solver-call`` record of a PASS says what it covers:
    ``coverage`` is ``exhaustive`` or ``sampled``, and an ``exhaustive``
    one drew no samples (``sampled == 0``).
@@ -45,15 +47,23 @@ DEFAULT_KINDS = (
 
 
 ENUM_COUNTERS = ("candidates", "exhaustive", "sampled", "repeats",
-                 "independent", "feasibility")
+                 "independent", "infeasible", "feasibility")
+#: what only the commutativity check spends; 0 on a semantic record
+COMMUTATIVITY_ONLY = ("independent", "infeasible", "feasibility",
+                      "feasibility_s")
 
 
-def enum_accounting(attrs: dict) -> list[str]:
+def enum_accounting(attrs: dict, wall_s: float) -> list[str]:
     """What is wrong with one enum ``solver-call`` record's candidate
     counters (empty when nothing is)."""
     missing = [k for k in ENUM_COUNTERS if not isinstance(attrs.get(k), int)]
     if missing:
         return [f"enum solver-call lacks integer counters {missing}"]
+    feasibility_s = attrs.get("feasibility_s")
+    if (isinstance(feasibility_s, bool)
+            or not isinstance(feasibility_s, (int, float))):
+        return [f"enum solver-call lacks seconds feasibility_s "
+                f"({feasibility_s!r})"]
     problems = []
     if attrs["exhaustive"] + attrs["sampled"] != attrs["candidates"]:
         problems.append(
@@ -64,18 +74,19 @@ def enum_accounting(attrs: dict) -> list[str]:
             f"enum solver-call: repeats {attrs['repeats']} > sampled "
             f"{attrs['sampled']}")
     replayed = attrs["candidates"] - attrs["repeats"]
-    if attrs.get("check") == "semantic" and attrs["independent"]:
+    if attrs.get("check") == "semantic":
+        problems.extend(
+            f"enum solver-call: semantic record with {name} {attrs[name]}"
+            for name in COMMUTATIVITY_ONLY if attrs[name])
+    elif attrs["independent"] + attrs["infeasible"] > replayed:
         problems.append(
-            f"enum solver-call: semantic record with independent "
-            f"{attrs['independent']}")
-    elif attrs["independent"] > replayed:
+            f"enum solver-call: independent {attrs['independent']} + "
+            f"infeasible {attrs['infeasible']} > candidates - repeats "
+            f"{replayed}")
+    if not 0 <= feasibility_s <= wall_s:
         problems.append(
-            f"enum solver-call: independent {attrs['independent']} > "
-            f"candidates - repeats {replayed}")
-    if attrs.get("check") == "semantic" and attrs["feasibility"]:
-        problems.append(
-            f"enum solver-call: semantic record with feasibility "
-            f"{attrs['feasibility']}")
+            f"enum solver-call: feasibility_s {feasibility_s} outside "
+            f"[0, wall_s {wall_s}]")
     if attrs.get("result") == "pass":
         coverage = attrs.get("coverage")
         if coverage not in ("exhaustive", "sampled"):
@@ -128,7 +139,8 @@ def main() -> int:
         attrs = obj["attrs"]
         if obj["kind"] == "solver-call" and attrs.get("backend") == "enum":
             problems.extend(f"line {lineno}: {problem}"
-                            for problem in enum_accounting(attrs))
+                            for problem in enum_accounting(
+                                attrs, obj["wall_s"]))
 
     kinds = {obj["kind"] for _, obj in records}
     for kind in filter(None, args.require.split(",")):
