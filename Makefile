@@ -2,9 +2,9 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-fast coverage bench bench-full bench-sweep \
-	bench-gate perfbench-counts perf-ab examples chaos engine-chaos difftest \
-	difftest-directed trace-demo metrics-demo serve-demo docs-lint clean
+.PHONY: install test test-fast coverage bench bench-full perfbench-counts \
+	perf-ab examples chaos engine-chaos difftest difftest-directed \
+	trace-demo metrics-demo serve-demo docs-lint clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -35,13 +35,6 @@ bench:
 
 bench-full:
 	REPRO_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-bench-sweep:
-	$(PYTHON) benchmarks/bench_pair_sweep.py --jobs 4
-	$(PYTHON) tools/bench_gate.py
-
-bench-gate:
-	$(PYTHON) tools/bench_gate.py
 
 # The benchmark's exact counts (interpreter, check and solver calls) must
 # be identical across runs and PYTHONHASHSEED values.

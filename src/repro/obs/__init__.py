@@ -34,8 +34,10 @@ Typical use::
     print("\\n".join(obs.render_tree(tracer.roots)))
 
 When no tracer is active every instrumentation hook is a no-op costing
-one context-variable read, so un-traced runs stay at production speed
-(the ``bench_pair_sweep`` smoke budget pins the overhead below 2%).
+one context-variable read: ``span(...)`` returns the shared
+``NULL_CONTEXT`` (tests/test_obs.py pins this).  No benchmark times this
+tracer; perfbench's ``--trace 1`` reports the cost of its own per-layer
+wrappers as ``trace.overhead_frac``.
 See docs/OBSERVABILITY.md for the span taxonomy and the trace schema.
 """
 
