@@ -29,7 +29,7 @@ from .fingerprint import (
     fingerprint_path,
     fingerprint_schema,
 )
-from .metrics import EngineMetrics
+from .metrics import fold_sweep
 from .scheduler import run_pair_sweep
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "EngineChaosPlan",
     "EngineChaosReport",
-    "EngineMetrics",
     "FAILURE_KINDS",
     "FINGERPRINT_VERSION",
     "FingerprintContext",
@@ -51,6 +50,7 @@ __all__ = [
     "fingerprint_config",
     "fingerprint_path",
     "fingerprint_schema",
+    "fold_sweep",
     "run_engine_chaos",
     "run_pair_sweep",
     "unknown_verdict",

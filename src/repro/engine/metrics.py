@@ -1,287 +1,129 @@
-"""Scheduler observability: what the sweep did and where the time went.
+"""Scheduler accounting: what a sweep did and where the time went.
 
-Since the observability layer landed, :class:`EngineMetrics` is a
-*projection of the trace*: the scheduler wraps every sweep in a
-``pair-sweep`` span with one ``pair`` child per pair (route, timings,
-worker pid — see docs/OBSERVABILITY.md for the span taxonomy), and
-:meth:`EngineMetrics.from_sweep` folds that span tree into the flat
-counter dict.  There is no second bookkeeping path: the numbers the CLI
-and the benchmarks print are, by construction, the numbers in the trace.
-
-Since the metrics layer landed, the fold itself goes through one shared
-routine, :func:`fold_sweep_into`, which emits the
-``noctua_engine_*`` counter/histogram families into a
-:class:`~repro.metrics.MetricsRegistry`.  ``from_sweep`` folds into a
-private registry and projects the flat counters back out of it; the
-scheduler *additionally* folds the finished sweep into the ambient
-registry (when one is active) so cross-run aggregates accumulate.  The
-hand-rolled counter loop this module used to carry is gone — the
-registry is the single accounting path.
-
-Attached to ``VerificationReport.metrics`` as a plain dict so the report
-layer stays decoupled from the engine, serializes into the deployment
-JSON artifact unchanged, and is printable by the CLI and the benchmark
-harness without imports.
+The scheduler records every sweep as a ``pair-sweep`` span with one
+``pair`` child per pair and one ``pair-failure`` record per failed
+attempt (span taxonomy: docs/OBSERVABILITY.md).  :func:`fold_sweep`
+reads that tree in one pass into the flat ``report.metrics`` dict and,
+given a registry, emits the ``noctua_engine_*`` families in the same
+pass.  The span tree is the one record: the CLI, the service and the
+benchmark print the numbers in the trace.  The dict is plain data, so
+the report layer needs no engine import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..metrics import MetricsRegistry
 from ..obs.tracer import Span
+from ..verifier.runner import (
+    PRUNE_CONSERVATIVE, PRUNE_DISJOINT, PRUNE_ORDER, PRUNE_RW)
+
+#: report key -> ``noctua_engine_*`` counter, incremented when non-zero
+_COUNTERS = (
+    ("class_count", "noctua_engine_classes_total"),
+    ("shared", "noctua_engine_class_shared_total"),
+    ("cache_hits", "noctua_engine_cache_hits_total"),
+    ("cache_misses", "noctua_engine_cache_misses_total"),
+    ("retries", "noctua_engine_retries_total"),
+    ("unknowns", "noctua_engine_unknowns_total"),
+    ("engine_fallbacks", "noctua_engine_fallbacks_total"),
+    ("checkpoints", "noctua_engine_checkpoints_total"),
+    ("workers_respawned", "noctua_engine_respawns_total"),
+)
 
 
-def fold_sweep_into(registry: MetricsRegistry, sweep: Span) -> dict:
-    """Fold a finished ``pair-sweep`` span into ``registry``.
+def fold_sweep(sweep: Span, registry: MetricsRegistry | None = None) -> dict:
+    """Fold a finished ``pair-sweep`` span into ``report.metrics``.
 
-    Emits the ``noctua_engine_*`` families:
+    Pair routes: ``pruned:<tag>`` (no solver, no cache), ``cached`` (a
+    cache hit; ``saved_s`` is its original solve time), ``shared``
+    (relabeled from a class representative: neither hit nor miss),
+    ``solved`` and ``unknown``.  When the sweep's ``cache`` attribute is
+    not ``off``, every solved pair and every terminal unknown (one that
+    was itself attempted, not a ``shared`` class member degrading with
+    its representative) is a cache miss.  Every failed attempt was
+    retried except the last one of each terminal unknown.
+    ``worker_utilization`` is the solve seconds over (distinct solving
+    pids × the solve phase's wall clock), capped at 1.
 
-    * ``pairs_total{route=...}`` — every pair outcome by route
-      (``pruned:<tag>`` / ``cached`` / ``shared`` / ``solved`` /
-      ``unknown``);
-    * ``classes_total`` / ``class_shared_total`` /
-      ``pruned_pairs_total{tag=...}`` — reduction-pipeline effect:
-      signature classes formed, verdicts shared from representatives,
-      and solver-free prunes by tag;
-    * ``cache_hits_total`` / ``cache_misses_total`` /
-      ``cache_saved_seconds_total`` — cache efficiency;
-    * ``pair_solve_seconds{backend=...}`` — per-pair solve wall time,
-      split by the engine the attempt ran (``engine_used`` on fallback
-      pairs, the sweep engine otherwise: a portfolio attempt is
-      ``portfolio``, and its ``check`` spans name the lane that ran);
-    * ``failures_total{kind=...}`` / ``retries_total`` /
-      ``unknowns_total`` / ``fallbacks_total`` — the failure taxonomy
-      (``pair-failure`` records count failed attempts; every failed
-      attempt was retried except the terminal one of each unknown pair
-      that was itself attempted — a class member degrading with its
-      failed representative (``shared`` unknown) counts as an unknown
-      only: no attempt, no retry, no cache miss);
-    * ``checkpoints_total`` / ``respawns_total`` / ``sweeps_total{mode}``
-      — sweep-level execution facts from the sweep span attributes.
-
-    Returns the residue that is not a counter: per-worker busy seconds
-    (keyed by pid string) and the solved pairs sorted slowest-first —
-    the pieces :class:`EngineMetrics` keeps verbatim.
-    """
-    base_engine = sweep.attrs.get("engine", "enum")
-    worker_busy: dict[str, float] = {}
-    solved: list[tuple[str, str, float]] = []
-    failed_attempts = 0
-    terminal_failures = 0
+    With ``registry``, each solved pair's wall time is observed in
+    ``noctua_engine_pair_solve_seconds`` under the engine its attempt
+    ran (``engine_used`` on a fallback pair, else the sweep's engine),
+    and the counter families are incremented from the report counts.
+    Only ``inc`` and ``observe`` touch the registry."""
+    attrs = sweep.attrs
+    routes: dict[str, int] = {}
+    failures: dict[str, int] = {}
+    fallbacks = terminal = 0
+    solve_cpu_s = cache_saved_s = 0.0
+    pids = set()
     for span in sweep.children:
         if span.kind == "pair-failure":
-            kind = span.attrs.get("failure", "unknown")
-            registry.inc("noctua_engine_failures_total", kind=kind)
-            failed_attempts += 1
+            kind = span.attrs["failure"]
+            failures[kind] = failures.get(kind, 0) + 1
             continue
         if span.kind != "pair":
             continue
-        route = span.attrs.get("route", "")
-        registry.inc("noctua_engine_pairs_total", route=route or "unknown")
-        if route.startswith("pruned:"):
-            registry.inc("noctua_engine_pruned_pairs_total",
-                         tag=route.split(":", 1)[1])
-        if span.attrs.get("engine_fallback"):
-            registry.inc("noctua_engine_fallbacks_total")
+        route = span.attrs["route"]
+        routes[route] = routes.get(route, 0) + 1
+        fallbacks += bool(span.attrs.get("engine_fallback"))
         if route == "unknown":
-            registry.inc("noctua_engine_unknowns_total")
-            if not span.attrs.get("shared"):
-                terminal_failures += 1
-                if span.attrs.get("cache") == "miss":
-                    registry.inc("noctua_engine_cache_misses_total")
+            terminal += not span.attrs.get("shared")
         elif route == "cached":
-            registry.inc("noctua_engine_cache_hits_total")
-            registry.inc("noctua_engine_cache_saved_seconds_total",
-                         span.attrs.get("saved_s", 0.0))
-        elif route == "shared":
-            # Served from a class representative: neither a cache hit
-            # nor a miss — the pair was never fingerprint-looked-up as
-            # solver work in its own right.
-            registry.inc("noctua_engine_class_shared_total")
+            cache_saved_s += span.attrs["saved_s"]
         elif route == "solved":
-            if span.attrs.get("cache") == "miss":
-                registry.inc("noctua_engine_cache_misses_total")
-            elapsed = span.wall_s
-            backend = span.attrs.get("engine_used", base_engine)
-            registry.observe("noctua_engine_pair_solve_seconds", elapsed,
-                             backend=backend)
-            pid = str(span.attrs.get("pid", span.pid))
-            worker_busy[pid] = worker_busy.get(pid, 0.0) + elapsed
-            solved.append((
-                span.attrs.get("left", ""),
-                span.attrs.get("right", ""),
-                elapsed,
-            ))
-    retries = max(0, failed_attempts - terminal_failures)
-    if retries:
-        registry.inc("noctua_engine_retries_total", retries)
-    checkpoints = sweep.attrs.get("checkpoints", 0)
-    if checkpoints:
-        registry.inc("noctua_engine_checkpoints_total", checkpoints)
-    respawns = sweep.attrs.get("respawns", 0)
-    if respawns:
-        registry.inc("noctua_engine_respawns_total", respawns)
-    classes = sweep.attrs.get("classes", 0)
-    if classes:
-        registry.inc("noctua_engine_classes_total", classes)
-    registry.inc("noctua_engine_sweeps_total",
-                 mode=sweep.attrs.get("mode", "serial"))
-    solved.sort(key=lambda t: t[2], reverse=True)
-    return {"worker_busy_s": worker_busy, "solved": solved,
-            "retries": retries}
-
-
-@dataclass
-class EngineMetrics:
-    """Counters and timings for one pair sweep."""
-
-    #: requested worker count and what actually ran
-    jobs_requested: int = 1
-    jobs_used: int = 1
-    mode: str = "serial"  # "serial" | "parallel"
-    fallback_reason: str = ""
-
-    pairs_total: int = 0
-    #: fast-path pruning counts (no solver, no cache involved)
-    pruned_conservative: int = 0
-    pruned_order: int = 0
-    pruned_disjoint: int = 0
-    pruned_rw_disjoint: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: reduction pipeline: signature classes formed this sweep and pair
-    #: verdicts served by relabeling a class representative's verdict
-    class_count: int = 0
-    shared: int = 0
-    #: pairs actually handed to a checker this run
-    solver_calls: int = 0
-
-    #: failure-taxonomy counters (see :mod:`repro.engine.failures`):
-    #: failed attempts by kind, attempts retried, pairs re-solved on the
-    #: fallback engine, and pairs that degraded to ``unknown`` verdicts
-    failures: dict[str, int] = field(default_factory=dict)
-    retries: int = 0
-    engine_fallbacks: int = 0
-    unknowns: int = 0
-    #: mid-sweep cache checkpoints flushed and workers respawned after
-    #: a crash or watchdog kill
-    checkpoints: int = 0
-    workers_respawned: int = 0
-
-    #: wall clock of the solve phase only (dispatch to last result)
-    solve_wall_s: float = 0.0
-    #: sum of per-pair solve times across workers (the "work done")
-    solve_cpu_s: float = 0.0
-    #: original solve time of verdicts replayed from the cache
-    cache_saved_s: float = 0.0
-
-    #: busy seconds per worker (keyed by worker pid as a string so the
-    #: dict survives a JSON round-trip unchanged)
-    worker_busy_s: dict[str, float] = field(default_factory=dict)
-
-    #: the slowest solved pairs this run: (left, right, seconds)
-    slowest_pairs: list[tuple[str, str, float]] = field(default_factory=list)
-
-    @classmethod
-    def from_sweep(cls, sweep: Span, *, keep_slowest: int = 5
-                   ) -> "EngineMetrics":
-        """Fold a ``pair-sweep`` span (and its ``pair`` children) into
-        the flat metrics the report/CLI/benchmarks consume.
-
-        The fold runs :func:`fold_sweep_into` against a private
-        registry, then projects the counter fields back out of it; the
-        execution-mode facts (``jobs_requested``/``jobs_used``/``mode``/
-        ``fallback_reason``/``solve_wall_s``) come from the sweep span's
-        own attributes.  Per-pair route semantics are documented on
-        :func:`fold_sweep_into`.
-        """
-        registry = MetricsRegistry()
-        residue = fold_sweep_into(registry, sweep)
-        metrics = cls(jobs_requested=sweep.attrs.get("jobs_requested", 1))
-        metrics.jobs_used = sweep.attrs.get("jobs_used", 1)
-        metrics.mode = sweep.attrs.get("mode", "serial")
-        metrics.fallback_reason = sweep.attrs.get("fallback_reason", "")
-        metrics.solve_wall_s = sweep.attrs.get("solve_wall_s", 0.0)
-        metrics.checkpoints = sweep.attrs.get("checkpoints", 0)
-        metrics.workers_respawned = sweep.attrs.get("respawns", 0)
-
-        pairs = "noctua_engine_pairs_total"
-        metrics.pairs_total = int(registry.total(pairs))
-        metrics.pruned_conservative = int(
-            registry.value(pairs, route="pruned:conservative"))
-        metrics.pruned_order = int(registry.value(pairs, route="pruned:order"))
-        metrics.pruned_disjoint = int(
-            registry.value(pairs, route="pruned:disjoint"))
-        metrics.pruned_rw_disjoint = int(
-            registry.value(pairs, route="pruned:rw-disjoint"))
-        metrics.class_count = int(sweep.attrs.get("classes", 0))
-        metrics.shared = int(
-            registry.value("noctua_engine_class_shared_total"))
-        metrics.solver_calls = int(registry.value(pairs, route="solved"))
-        metrics.unknowns = int(registry.value(pairs, route="unknown"))
-        metrics.cache_hits = int(
-            registry.value("noctua_engine_cache_hits_total"))
-        metrics.cache_misses = int(
-            registry.value("noctua_engine_cache_misses_total"))
-        metrics.cache_saved_s = registry.value(
-            "noctua_engine_cache_saved_seconds_total")
-        metrics.engine_fallbacks = int(
-            registry.value("noctua_engine_fallbacks_total"))
-        metrics.failures = {
-            labels["kind"]: int(count)
-            for labels, count in registry.series("noctua_engine_failures_total")
-        }
-        metrics.retries = residue["retries"]
-        metrics.solve_cpu_s = registry.histogram_sum(
-            "noctua_engine_pair_solve_seconds")
-        metrics.worker_busy_s = residue["worker_busy_s"]
-        metrics.slowest_pairs = residue["solved"][:keep_slowest]
+            solve_cpu_s += span.wall_s
+            pids.add(span.attrs["pid"])
+            if registry is not None:
+                registry.observe(
+                    "noctua_engine_pair_solve_seconds", span.wall_s,
+                    backend=span.attrs.get("engine_used", attrs["engine"]))
+    solved = routes.get("solved", 0)
+    pruned = {tag: routes.get(f"pruned:{tag}", 0) for tag in (
+        PRUNE_CONSERVATIVE, PRUNE_ORDER, PRUNE_DISJOINT, PRUNE_RW)}
+    solve_wall_s = attrs["solve_wall_s"]
+    metrics = {
+        "jobs_requested": attrs["jobs_requested"],
+        "jobs_used": attrs["jobs_used"],
+        "mode": attrs["mode"],
+        "fallback_reason": attrs["fallback_reason"],
+        "pairs_total": sum(routes.values()),
+        "pruned": sum(pruned.values()),
+        "pruned_conservative": pruned[PRUNE_CONSERVATIVE],
+        "pruned_order": pruned[PRUNE_ORDER],
+        "pruned_disjoint": pruned[PRUNE_DISJOINT],
+        "pruned_rw_disjoint": pruned[PRUNE_RW],
+        "cache_hits": routes.get("cached", 0),
+        "cache_misses": (solved + terminal
+                         if attrs["cache"] != "off" else 0),
+        "class_count": attrs["classes"],
+        "shared": routes.get("shared", 0),
+        "solver_calls": solved,
+        "failures": dict(sorted(failures.items())),
+        "retries": max(0, sum(failures.values()) - terminal),
+        "engine_fallbacks": fallbacks,
+        "unknowns": routes.get("unknown", 0),
+        "checkpoints": attrs["checkpoints"],
+        "workers_respawned": attrs["respawns"],
+        "solve_wall_s": solve_wall_s,
+        "solve_cpu_s": solve_cpu_s,
+        "cache_saved_s": cache_saved_s,
+        "worker_utilization": (
+            min(1.0, solve_cpu_s / (len(pids) * solve_wall_s))
+            if pids and solve_wall_s > 0.0 else 0.0),
+    }
+    if registry is None:
         return metrics
-
-    @property
-    def pruned(self) -> int:
-        return (self.pruned_conservative + self.pruned_order
-                + self.pruned_disjoint + self.pruned_rw_disjoint)
-
-    @property
-    def worker_utilization(self) -> float:
-        """Mean fraction of the solve phase each worker spent solving.
-
-        1.0 means every worker was busy for the whole solve phase; low
-        values flag stragglers or dispatch overhead dominating."""
-        if not self.worker_busy_s or self.solve_wall_s <= 0.0:
-            return 0.0
-        capacity = len(self.worker_busy_s) * self.solve_wall_s
-        return min(1.0, sum(self.worker_busy_s.values()) / capacity)
-
-    def to_dict(self) -> dict:
-        return {
-            "jobs_requested": self.jobs_requested,
-            "jobs_used": self.jobs_used,
-            "mode": self.mode,
-            "fallback_reason": self.fallback_reason,
-            "pairs_total": self.pairs_total,
-            "pruned": self.pruned,
-            "pruned_conservative": self.pruned_conservative,
-            "pruned_order": self.pruned_order,
-            "pruned_disjoint": self.pruned_disjoint,
-            "pruned_rw_disjoint": self.pruned_rw_disjoint,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "class_count": self.class_count,
-            "shared": self.shared,
-            "solver_calls": self.solver_calls,
-            "failures": dict(self.failures),
-            "retries": self.retries,
-            "engine_fallbacks": self.engine_fallbacks,
-            "unknowns": self.unknowns,
-            "checkpoints": self.checkpoints,
-            "workers_respawned": self.workers_respawned,
-            "solve_wall_s": self.solve_wall_s,
-            "solve_cpu_s": self.solve_cpu_s,
-            "cache_saved_s": self.cache_saved_s,
-            "worker_utilization": self.worker_utilization,
-            "worker_busy_s": dict(self.worker_busy_s),
-            "slowest_pairs": [list(t) for t in self.slowest_pairs],
-        }
+    for route, count in routes.items():
+        registry.inc("noctua_engine_pairs_total", count, route=route)
+        if route.startswith("pruned:"):
+            registry.inc("noctua_engine_pruned_pairs_total", count,
+                         tag=route.split(":", 1)[1])
+    for kind, count in metrics["failures"].items():
+        registry.inc("noctua_engine_failures_total", count, kind=kind)
+    if metrics["cache_hits"]:
+        registry.inc("noctua_engine_cache_saved_seconds_total", cache_saved_s)
+    for key, family in _COUNTERS:
+        if metrics[key]:
+            registry.inc(family, metrics[key])
+    registry.inc("noctua_engine_sweeps_total", mode=metrics["mode"])
+    return metrics

@@ -50,8 +50,9 @@ active (:mod:`repro.obs`) those spans land in the caller's trace —
 including spans produced inside a lane (a worker's arrive serialized
 over its pipe), which are grafted back onto the parent tree.  With no
 tracer active, the scheduler still builds the span tree on a private
-tracer, because :class:`~repro.engine.metrics.EngineMetrics` is
-computed *from* the spans (``EngineMetrics.from_sweep``).
+tracer: the span tree is the sweep's one record, and ``report.metrics``
+is read from it by one pass (:func:`~repro.engine.metrics.fold_sweep`),
+which also feeds the ambient metrics registry when one is active.
 
 Determinism: verdicts are assembled into the report in sweep order
 (``i <= j`` over the effectful-path list) regardless of completion
@@ -101,7 +102,7 @@ from .failures import (
     unknown_verdict,
 )
 from .fingerprint import FingerprintContext
-from .metrics import EngineMetrics, fold_sweep_into
+from .metrics import fold_sweep
 from .reduction import (
     ROUTE_CACHED,
     ROUTE_PRUNED,
@@ -250,7 +251,7 @@ def run_pair_sweep(
 
     # The sweep always runs under a tracer: the ambient one when the
     # caller traces, otherwise a private tracer whose only job is to
-    # carry the pair spans EngineMetrics is derived from.
+    # carry the pair spans report.metrics is folded from.
     ambient = obs.current()
     tracer = ambient if ambient is not None else obs.Tracer(max_records=1)
 
@@ -263,8 +264,8 @@ def run_pair_sweep(
     with tracer.span(f"pair-sweep {analysis.app_name}", "pair-sweep",
                      app=analysis.app_name, engine=engine,
                      jobs_requested=jobs, mode="serial", jobs_used=1,
-                     fallback_reason="", checkpoints=0,
-                     respawns=0) as sweep_span:
+                     fallback_reason="", checkpoints=0, respawns=0,
+                     cache="off" if cache is None else "on") as sweep_span:
         # Pass 1 — one shared solver-free plan (pruning, cache lookups,
         # signature-class assignment) resolves every pair it can and
         # queues only genuine solver work.  ``verdicts`` is
@@ -282,7 +283,6 @@ def run_pair_sweep(
         #: representative slot -> class members awaiting its verdict
         shared_members: dict[int, list] = {}
 
-        cache_attr = {"cache": "miss"} if cache is not None else {}
         counters = {"solved": 0, "since_checkpoint": 0, "checkpoints": 0}
 
         def resolve_shared(member, rep_verdict, cacheable: bool) -> None:
@@ -345,7 +345,7 @@ def run_pair_sweep(
                 f"{p.name} x {q.name}", "pair",
                 left=p.name, right=q.name, route="unknown",
                 failure=failure.kind, attempts=failure.attempt,
-                restricted=True, **cache_attr,
+                restricted=True,
             )
             for member in shared_members.pop(slot, ()):
                 mv = unknown_verdict(
@@ -401,8 +401,8 @@ def run_pair_sweep(
         try:
             _dispatch(
                 analysis, config, engine, jobs, queue, tracer, sweep_span,
-                traced=ambient is not None, cache_attr=cache_attr,
-                policy=policy, deadline_s=deadline_s, chaos=chaos,
+                traced=ambient is not None, policy=policy,
+                deadline_s=deadline_s, chaos=chaos,
                 commit=commit, emit_unknown=emit_unknown,
             )
         finally:
@@ -417,18 +417,14 @@ def run_pair_sweep(
         if cache is not None:
             cache.flush()
 
-        metrics = EngineMetrics.from_sweep(sweep_span)
-        ambient_registry = metrics_registry.current()
-        if ambient_registry is not None:
-            # Accumulate the finished sweep into the ambient registry so
-            # cross-run aggregates (cache efficiency, solve-time
-            # histograms) survive beyond this report.
-            fold_sweep_into(ambient_registry, sweep_span)
+        # One fold: the report's counters, and the ambient registry's
+        # cross-run aggregates when metering is on.
+        metrics = fold_sweep(sweep_span, metrics_registry.current())
         sweep_span.set(
-            pairs=metrics.pairs_total, pruned=metrics.pruned,
-            solver_calls=metrics.solver_calls,
-            unknowns=metrics.unknowns,
-            cache=f"{metrics.cache_hits}h/{metrics.cache_misses}m"
+            pairs=metrics["pairs_total"], pruned=metrics["pruned"],
+            solver_calls=metrics["solver_calls"],
+            unknowns=metrics["unknowns"],
+            cache=f"{metrics['cache_hits']}h/{metrics['cache_misses']}m"
             if cache is not None else "off",
         )
 
@@ -440,10 +436,8 @@ def run_pair_sweep(
         if verdict.semantic is not None:
             report.time_semantic_s += verdict.semantic.elapsed_s
     report.elapsed_s = time.perf_counter() - wall_start
-    report.metrics = metrics.to_dict()
+    report.metrics = metrics
     return report
-
-
 
 
 def _dispatch(
@@ -456,7 +450,6 @@ def _dispatch(
     sweep_span: "obs.Span",
     *,
     traced: bool,
-    cache_attr: dict,
     policy: RetryPolicy,
     deadline_s: float,
     chaos: EngineChaosPlan | None,
@@ -498,7 +491,7 @@ def _dispatch(
 
     def emit_pair_span(task: Task, verdict, pid, elapsed, span) -> None:
         """Land one lane result in the trace (graft or record)."""
-        attrs = dict(attempts=task[3] + 1, route="solved", **cache_attr)
+        attrs = dict(attempts=task[3] + 1, route="solved")
         if task[4] != engine:
             attrs.update(engine_fallback=True, engine_used=task[4])
         if task[5]:

@@ -189,7 +189,6 @@ class VerificationService:
         jobs: int = 1,
         cache_dir: str | None = None,
         poll_interval_s: float = DEFAULT_POLL_INTERVAL_S,
-        prune: bool = True,
         registry: MetricsRegistry | None = None,
     ):
         self.config = config or CheckConfig()
@@ -197,7 +196,6 @@ class VerificationService:
         self.jobs = jobs
         self.cache_dir = str(cache_dir or DEFAULT_CACHE_DIR)
         self.poll_interval_s = poll_interval_s
-        self.prune = prune
         self.registry = registry or LockedMetricsRegistry()
         #: serializes re-verification cycles (daemon loop vs forced HTTP
         #: reverify); never held while answering reads
@@ -275,13 +273,11 @@ class VerificationService:
                     jobs=self.jobs, use_cache=True,
                     cache_dir=self.cache_dir,
                 )
-                pruned = 0
-                if self.prune:
-                    # Prune *after* the sweep so the removal count is
-                    # observable in the cycle stats and the metrics.
-                    cache = ResultCache(self.cache_dir, analysis.app_name)
-                    pruned = cache.prune(live)
-                    cache.flush()
+                # Prune *after* the sweep so the removal count is
+                # observable in the cycle stats and the metrics.
+                cache = ResultCache(self.cache_dir, analysis.app_name)
+                pruned = cache.prune(live)
+                cache.flush()
             trace_obj = {
                 "app": name,
                 "trigger": trigger,

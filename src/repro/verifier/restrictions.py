@@ -21,7 +21,7 @@ class Outcome(enum.Enum):
     #: the engine could not produce a verdict at all (worker crash, blown
     #: deadline, persistent solver error) — restricted conservatively so
     #: the restriction set stays sound; never cached, always surfaced in
-    #: EngineMetrics.unknowns and the report JSON
+    #: the report's ``metrics["unknowns"]`` and its JSON
     UNKNOWN = "unknown"
 
     @property

@@ -317,6 +317,63 @@ class TestEngineInstrumentation:
         # members the cold sweep fanned out into the cache
         assert hits == misses + shared
 
+    def test_failure_routes_agree_with_the_report(self, courseware_analysis,
+                                                  tmp_path):
+        """Crashed, retried and degraded pairs: every engine series the
+        sweep's fold emits equals its ``report.metrics`` counterpart."""
+        from repro.engine import EngineChaosPlan, RetryPolicy, run_pair_sweep
+        from repro.engine.chaos import _solver_bound_pairs
+
+        classes = _solver_bound_pairs(courseware_analysis, CFG)
+        crashed, flaky, erroring = sorted(
+            classes, key=lambda rep: -len(classes[rep]))[:3]
+        assert len(classes[crashed]) > 1  # its members degrade with it
+        policy = RetryPolicy(max_attempts=2, backoff_s=0.01)
+        reg = mx.MetricsRegistry()
+        with mx.activate(reg):
+            report = run_pair_sweep(
+                courseware_analysis, CFG, jobs=1, use_cache=True,
+                cache_dir=str(tmp_path), retry=policy, pair_deadline_s=30.0,
+                chaos=EngineChaosPlan(crash=frozenset({crashed}),
+                                      flaky_crash=frozenset({flaky}),
+                                      error=frozenset({erroring})))
+        m = report.metrics
+        # the crashed class ends unknown; the other two recover on retry
+        assert m["unknowns"] == len(classes[crashed])
+        assert m["failures"] == {"crash": policy.max_attempts + 1,
+                                 "solver-error": 1}
+        assert m["retries"] == 3
+        # a miss per solved pair plus the terminal (non-shared) unknown
+        assert m["cache_misses"] == m["solver_calls"] + 1
+
+        def by_label(family: str, label: str) -> dict:
+            return {labels[label]: value
+                    for labels, value in reg.series(family)}
+
+        assert by_label("noctua_engine_failures_total", "kind") == \
+            m["failures"]
+        assert reg.value("noctua_engine_retries_total") == m["retries"]
+        assert reg.value("noctua_engine_unknowns_total") == m["unknowns"]
+        assert reg.value("noctua_engine_cache_misses_total") == \
+            m["cache_misses"]
+        assert reg.value("noctua_engine_cache_hits_total") == m["cache_hits"]
+        assert reg.value("noctua_engine_classes_total") == m["class_count"]
+        assert reg.value("noctua_engine_class_shared_total") == m["shared"]
+        routes = {
+            "solved": m["solver_calls"], "shared": m["shared"],
+            "unknown": m["unknowns"], "cached": m["cache_hits"],
+            "pruned:conservative": m["pruned_conservative"],
+            "pruned:order": m["pruned_order"],
+            "pruned:disjoint": m["pruned_disjoint"],
+            "pruned:rw-disjoint": m["pruned_rw_disjoint"],
+        }
+        assert by_label("noctua_engine_pairs_total", "route") == \
+            {route: count for route, count in routes.items() if count}
+        assert reg.value("noctua_engine_sweeps_total", mode="serial") == 1
+        hist = reg.histogram("noctua_engine_pair_solve_seconds",
+                             backend="enum")
+        assert hist is not None and hist.count == m["solver_calls"]
+
     def test_unmetered_sweep_is_unchanged(self, courseware_analysis):
         """No registry active: the sweep neither fails nor meters."""
         report = verify_application(courseware_analysis, CFG,

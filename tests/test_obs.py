@@ -14,7 +14,7 @@ import pytest
 from repro import obs
 from repro.analyzer import analyze_application
 from repro.engine import run_pair_sweep
-from repro.engine.metrics import EngineMetrics
+from repro.engine.metrics import fold_sweep
 from repro.obs.tracer import NULL_CONTEXT, NULL_SPAN
 from repro.verifier import CheckConfig
 
@@ -290,7 +290,7 @@ class TestPipelineTracing:
         tracer, report = traced_run(jobs=1)
         sweep = tracer.roots[-1]
         assert sweep.kind == "pair-sweep"
-        rebuilt = EngineMetrics.from_sweep(sweep).to_dict()
+        rebuilt = fold_sweep(sweep)
         assert rebuilt == report.metrics
         # 10 pairs: 2 fast-pruned, 1 class-shared, 7 solved
         assert rebuilt["solver_calls"] == 7

@@ -204,7 +204,7 @@ class TestIncrementalInvalidation:
         assert all(any(name.startswith("CompleteTask") for name in pair)
                    for pair in stats.invalidated)
         assert len(stats.invalidated) == 10
-        # ...and the sweep solved exactly those (EngineMetrics)
+        # ...and the sweep solved exactly those (report.metrics)
         assert stats.solver_calls == len(stats.invalidated)
         assert stats.cache_hits == cold.stats.solver_calls - 10
         # stale fingerprints of the edited view were pruned

@@ -49,7 +49,14 @@ from repro.service import PROM_CONTENT_TYPE  # noqa: E402
 REQUIRED_FAMILIES: dict[str, tuple[dict[str, str], ...]] = {
     "noctua_engine_cache_hits_total": (),
     "noctua_engine_cache_misses_total": (),
-    "noctua_engine_pairs_total": ({"route": "solved"},),
+    "noctua_engine_pairs_total": (
+        {"route": "solved"}, {"route": "cached"}, {"route": "shared"},
+    ),
+    "noctua_engine_pair_solve_seconds": (
+        {"backend": "enum"}, {"backend": "smt"},
+    ),
+    "noctua_engine_sweeps_total": ({"mode": "serial"},),
+    "noctua_engine_classes_total": (),
     "noctua_solver_call_seconds": (
         {"backend": "enum"}, {"backend": "smt"},
     ),
