@@ -34,10 +34,12 @@ This module removes both kinds of redundancy before any solver runs:
 
 * **Sweep planning** — :func:`plan_sweep` runs the complete solver-free
   pass (pruning, cache lookup, class assignment) and returns one
-  :class:`PairPlan` per pair.  The scheduler, the service daemon's
-  invalidation preview and cache maintenance all consume the same plan,
-  which is what keeps ``preview == actual solver calls`` true by
-  construction under class sharing.
+  :class:`PairPlan` per pair, deriving each path's facts
+  (:class:`PlanFacts`) once per plan rather than once per pair.  The
+  scheduler executes the plan and hands it back on its report; the
+  service daemon reads its invalidation from that same plan, which is
+  what keeps ``preview == actual solver calls`` true by construction
+  under class sharing.
 
 Soundness notes (also in docs/REDUCTION.md): verdicts are shared even
 when the representative's outcome is a budget artifact (``TIMEOUT``),
@@ -55,6 +57,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..soir import commands as C
 from ..soir import expr as E
@@ -63,7 +66,7 @@ from ..soir.schema import ModelSchema, RelationSchema, Schema
 from ..soir.serialize import path_to_obj, type_to_obj
 from ..verifier.enumcheck import CheckConfig
 from ..verifier.restrictions import CheckResult, Outcome, PairVerdict
-from ..verifier.runner import PRUNE_RW, classify_pair
+from ..verifier.runner import PRUNE_RW, PathFacts, classify_facts
 
 #: bump when canonicalization rules change — part of the class digest, so
 #: stale class keys can never alias across versions of the rules
@@ -96,6 +99,24 @@ class _Renamer:
     def index(self, kind: str, name: str) -> int | None:
         token = self.maps[kind].get(name)
         return None if token is None else int(token[len(_PREFIX[kind]):])
+
+
+class PlanFacts(PathFacts):
+    """Everything the sweep's per-pair rules read from one path: the
+    fast layers' :class:`~repro.verifier.runner.PathFacts` plus the
+    read/write footprint and the serialized form canonicalization walks.
+    :func:`plan_sweep` builds one per effectful path, so each fact is
+    derived at most once per plan; the per-pair wrappers
+    (:func:`prune_pair`, :func:`rw_disjoint`, :func:`canonical_case`)
+    build fresh ones and reach the same answers."""
+
+    @cached_property
+    def footprint(self) -> tuple[frozenset, frozenset]:
+        return rw_footprint(self.path, self.schema)
+
+    @cached_property
+    def obj(self) -> dict:
+        return path_to_obj(self.path)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +248,7 @@ def _canon_command(o: dict, rn: _Renamer) -> dict:
     return out
 
 
-def _canon_path(path: CodePath, rn: _Renamer, label: str) -> dict:
-    o = path_to_obj(path)
+def _canon_path(o: dict, rn: _Renamer, label: str) -> dict:
     return {
         # labels (name, view, branch_trace, abort_reason) carry no check
         # semantics — normalized away so label-only differences share
@@ -285,21 +305,25 @@ def canonical_case(
     them every signature-class cache key — are unchanged; k-path
     problems (the difftest schedule oracle) use a ``"paths"`` list and
     can never alias a pair digest."""
+    return canonical_facts([PlanFacts(p, schema) for p in paths], schema)
+
+
+def canonical_facts(
+    facts: tuple[PlanFacts, ...] | list[PlanFacts], schema: Schema,
+) -> tuple[str, dict[str, dict[str, str]]]:
+    """:func:`canonical_case` over precomputed :class:`PlanFacts`."""
     rn = _Renamer()
-    labels = [chr(ord("P") + i) for i in range(len(paths))]
-    objs = [_canon_path(p, rn, label) for p, label in zip(paths, labels)]
+    labels = [chr(ord("P") + i) for i in range(len(facts))]
+    objs = [_canon_path(f.obj, rn, label) for f, label in zip(facts, labels)]
 
     # The touched sub-schema is exactly the model-finder's scope footprint:
-    # touched models ∪ touched relations, plus relation endpoint models.
+    # touched models ∪ touched relations (``models_touched`` already
+    # holds every touched relation's endpoint models).
     models: set[str] = set()
     rels: set[str] = set()
-    for p in paths:
-        models |= set(p.models_touched(schema))
-        rels |= set(p.relations_touched(schema))
-    for rname in rels:
-        r = schema.relation(rname)
-        models.add(r.source)
-        models.add(r.target)
+    for f in facts:
+        models |= f.models
+        rels |= f.relations
 
     # Elements already named during the path walk come first, in token
     # order; the rest follow in original-name order (deterministic, at
@@ -316,7 +340,7 @@ def canonical_case(
         "relations": [_canon_relation(schema.relation(name), rn)
                       for name in ordered(rels, "relation")],
     }
-    if len(paths) == 2:
+    if len(facts) == 2:
         payload["p"], payload["q"] = objs
     else:
         payload["paths"] = objs
@@ -519,8 +543,13 @@ def rw_disjoint(p: CodePath, q: CodePath, schema: Schema) -> bool:
     """Whether the classic conflict condition clears this pair: neither
     path writes anything the other reads or writes.  Such a pair
     commutes and cannot invalidate — both checks pass solver-free."""
-    p_reads, p_writes = rw_footprint(p, schema)
-    q_reads, q_writes = rw_footprint(q, schema)
+    return rw_disjoint_facts(PlanFacts(p, schema), PlanFacts(q, schema))
+
+
+def rw_disjoint_facts(pf: PlanFacts, qf: PlanFacts) -> bool:
+    """:func:`rw_disjoint` over precomputed :class:`PlanFacts`."""
+    p_reads, p_writes = pf.footprint
+    q_reads, q_writes = qf.footprint
     return (
         not (p_writes & (q_reads | q_writes))
         and not (q_writes & (p_reads | p_writes))
@@ -535,9 +564,18 @@ def prune_pair(
 
     Returns ``(verdict, prune_tag)`` when a layer decides the pair, or
     ``None`` when it needs a solver."""
-    classified = classify_pair(p, q, schema, config)
-    if classified is not None or not rw_disjoint(p, q, schema):
+    return prune_facts(PlanFacts(p, schema), PlanFacts(q, schema),
+                       config or CheckConfig())
+
+
+def prune_facts(
+    pf: PlanFacts, qf: PlanFacts, config: CheckConfig,
+) -> tuple[PairVerdict, str] | None:
+    """:func:`prune_pair` over precomputed :class:`PlanFacts`."""
+    classified = classify_facts(pf, qf, config)
+    if classified is not None or not rw_disjoint_facts(pf, qf):
         return classified
+    p, q = pf.path, qf.path
     verdict = PairVerdict(p.name, q.name, left_view=p.view,
                           right_view=q.view)
     for kind in ("commutativity", "semantic"):
@@ -549,8 +587,8 @@ def prune_pair(
 
 
 # ---------------------------------------------------------------------------
-# Sweep planning.  One solver-free pass shared by the scheduler, the
-# service daemon's invalidation preview and cache maintenance.
+# Sweep planning.  One solver-free pass: the scheduler executes it and
+# hands it back, the service daemon and cache maintenance read it.
 # ---------------------------------------------------------------------------
 
 ROUTE_PRUNED = "pruned"
@@ -618,19 +656,27 @@ def plan_sweep(
     representative choice — and therefore solver-call count — is a pure
     function of the analysis, config and cache state.  This is the
     single source of truth for "which pairs does a sweep solve": the
-    scheduler executes this plan and the service daemon's invalidation
-    preview simply reads :meth:`SweepPlan.invalidated` from it."""
+    scheduler executes this plan and returns it as ``report.plan``, and
+    the service daemon reads :meth:`SweepPlan.invalidated` from it.
+
+    Each effectful path's :class:`PlanFacts` is built once here, so the
+    per-pair work is set intersections, canonical renaming and hashing;
+    the per-pair entry points (:func:`prune_pair`,
+    :func:`canonical_pair`) reach the same answers."""
     config = config or CheckConfig()
-    effectful = analysis.effectful_paths
+    schema = analysis.schema
+    facts = [PlanFacts(p, schema) for p in analysis.effectful_paths]
     plan = SweepPlan()
     # class key -> (representative slot, representative maps)
     class_index: dict[str, tuple[int, dict]] = {}
 
-    for i, p in enumerate(effectful):
-        for j in range(i, len(effectful)):
-            q = effectful[j]
+    for i, pf in enumerate(facts):
+        p = pf.path
+        for j in range(i, len(facts)):
+            qf = facts[j]
+            q = qf.path
             slot = len(plan.pairs)
-            classified = prune_pair(p, q, analysis.schema, config)
+            classified = prune_facts(pf, qf, config)
             if classified is not None:
                 verdict, tag = classified
                 plan.pairs.append(PairPlan(
@@ -640,7 +686,7 @@ def plan_sweep(
             fp = None
             if fingerprints is not None:
                 fp = fingerprints.pair(p, q)
-            class_key, maps = canonical_pair(p, q, analysis.schema)
+            class_key, maps = canonical_facts((pf, qf), schema)
             hit = cache.get(fp) if (cache is not None and fp) else None
             if hit is not None:
                 verdict, saved_s = hit

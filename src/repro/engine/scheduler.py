@@ -15,8 +15,8 @@ while preserving the restriction set of a plain ``verify_pair`` loop:
    on-disk cache (:mod:`repro.engine.cache`) keyed by the pair fingerprint
    (:mod:`repro.engine.fingerprint`); after an edit, only pairs whose
    fingerprints changed are re-solved, and the cache is *checkpointed*
-   mid-sweep every ``checkpoint_every`` solved pairs so a killed sweep
-   resumes warm;
+   mid-sweep every ``checkpoint_every`` cached verdicts so a killed
+   sweep resumes warm;
 3. **one dispatcher** — the solver queue drains through *lanes*: a
    hand-rolled pool of ``spawn`` worker processes (``jobs > 1``), or the
    in-process lane, which runs each attempt in the parent.  Both answer
@@ -111,7 +111,7 @@ from .reduction import (
     shared_verdict,
 )
 
-#: default cache-checkpoint cadence (solved pairs between mid-sweep
+#: default cache-checkpoint cadence (cached verdicts between mid-sweep
 #: flushes); the atomic replace in ``ResultCache.flush`` makes each
 #: checkpoint a complete, parseable snapshot
 DEFAULT_CHECKPOINT_EVERY = 8
@@ -266,13 +266,14 @@ def run_pair_sweep(
                      jobs_requested=jobs, mode="serial", jobs_used=1,
                      fallback_reason="", checkpoints=0, respawns=0,
                      cache="off" if cache is None else "on") as sweep_span:
-        # Pass 1 — one shared solver-free plan (pruning, cache lookups,
+        # Pass 1 — one solver-free plan (pruning, cache lookups,
         # signature-class assignment) resolves every pair it can and
         # queues only genuine solver work.  ``verdicts`` is
         # slot-addressed so results land in sweep order no matter how
-        # they were computed.  The same planner backs the service
-        # daemon's invalidation preview, which is what keeps
-        # ``preview == actual solver calls`` true under class sharing.
+        # they were computed.  The report hands this plan back, and the
+        # service daemon reads its invalidation from it, which is what
+        # keeps ``preview == actual solver calls`` true under class
+        # sharing.
         plan = plan_sweep(analysis, config, engine=engine, cache=cache,
                           fingerprints=fingerprints)
         sweep_span.set(classes=plan.classes)
@@ -284,6 +285,20 @@ def run_pair_sweep(
         shared_members: dict[int, list] = {}
 
         counters = {"solved": 0, "since_checkpoint": 0, "checkpoints": 0}
+
+        def put(fp: str, verdict, class_key: str | None) -> None:
+            """Cache one verdict and checkpoint every
+            ``checkpoint_every`` puts.  Every put — a representative's
+            commit or a class member's share — goes through here, so the
+            checkpoint count is ``puts // checkpoint_every`` whatever
+            order the pairs complete in."""
+            cache.put(fp, verdict, class_key=class_key)
+            counters["since_checkpoint"] += 1
+            if (checkpoint_every
+                    and counters["since_checkpoint"] >= checkpoint_every):
+                cache.flush()
+                counters["checkpoints"] += 1
+                counters["since_checkpoint"] = 0
 
         def resolve_shared(member, rep_verdict, cacheable: bool) -> None:
             """Relabel a representative's verdict for a class member."""
@@ -300,8 +315,7 @@ def run_pair_sweep(
             # re-verify hits directly without re-deriving the class.
             if (cacheable and cache is not None and member.fp is not None
                     and not verdict.unknown):
-                cache.put(member.fp, verdict, class_key=member.class_key)
-                counters["since_checkpoint"] += 1
+                put(member.fp, verdict, member.class_key)
 
         def commit(slot: int, verdict, task: Task) -> None:
             """Accept a solver verdict: store, maybe cache, checkpoint,
@@ -315,13 +329,7 @@ def run_pair_sweep(
             tainted = task[5] > 0 or task[4] != engine
             fp = slot_fp.get(slot)
             if cache is not None and fp is not None and not tainted:
-                cache.put(fp, verdict, class_key=slot_class.get(slot))
-                counters["since_checkpoint"] += 1
-                if (checkpoint_every
-                        and counters["since_checkpoint"] >= checkpoint_every):
-                    cache.flush()
-                    counters["checkpoints"] += 1
-                    counters["since_checkpoint"] = 0
+                put(fp, verdict, slot_class.get(slot))
             for member in shared_members.pop(slot, ()):
                 resolve_shared(member, verdict, cacheable=not tainted)
             if (chaos is not None and chaos.abort_after_solved is not None
@@ -437,6 +445,7 @@ def run_pair_sweep(
             report.time_semantic_s += verdict.semantic.elapsed_s
     report.elapsed_s = time.perf_counter() - wall_start
     report.metrics = metrics
+    report.plan = plan
     return report
 
 

@@ -6,21 +6,23 @@ One :class:`VerificationService` owns a set of registered applications
 thread-safe metrics registry.  Its cycle is:
 
     poll sources -> (on change) rebuild + re-analyze the app
-                 -> preview which pair fingerprints miss the cache
-                 -> run the incremental pair sweep (only misses solve)
+                 -> run the incremental pair sweep (only misses solve);
+                    it hands back the plan it executed
+                 -> read the invalidated pairs from that plan
                  -> prune stale cache entries
                  -> publish the restriction set if it changed
 
 Invalidation is *free* by construction: pair fingerprints are
 content-addressed over ``(path P, path Q, schema, config, engine)``
 (:mod:`repro.engine.fingerprint`), so an edited view's pairs simply miss
-the cache and everything untouched replays.  The daemon computes the
-invalidation preview with exactly the scheduler's pass-1 planner
+the cache and everything untouched replays.  A cycle plans its sweep
+once: the scheduler's pass-1 planner
 (:func:`repro.engine.reduction.plan_sweep` — pruning, cache lookup,
-signature-class assignment), so the preview names precisely the
-*representative* pairs the subsequent sweep will solve: a class member
-whose representative misses the cache is not re-solved, it is re-shared,
-and the preview counts it accordingly.
+signature-class assignment) runs inside the sweep, and the report hands
+that plan back (``report.plan``).  The cycle's invalidated pairs are
+read from it, so they are precisely the *representative* pairs the
+sweep solved: a class member whose representative misses the cache is
+not re-solved, it is re-shared, and is counted accordingly.
 
 Publishing: every app state carries a **restriction-set version**.  The
 version bumps only when the endpoint-level conflict table actually
@@ -104,8 +106,9 @@ class CycleStats:
     trigger: str  # initial | change | forced | once
     files: tuple[str, ...]
     #: pairs whose fingerprint missed the cache before the sweep, in
-    #: sweep order — exactly what the sweep will solve (class members
-    #: whose representative is being solved are *shared*, not listed)
+    #: sweep order — read from the plan the sweep executed, so exactly
+    #: what it solved (class members whose representative was solved
+    #: are *shared*, not listed)
     invalidated: tuple[tuple[str, str], ...]
     pairs_total: int
     solver_calls: int
@@ -226,33 +229,6 @@ class VerificationService:
         except KeyError:
             raise KeyError(f"unknown app {name!r}") from None
 
-    # -- invalidation ------------------------------------------------------
-
-    def preview_invalidation(
-        self, analysis: AnalysisResult,
-    ) -> tuple[list[tuple[str, str]], set[str], int, int, int]:
-        """Run the scheduler's pass-1 planner against the current cache.
-
-        Returns ``(invalidated, live_fps, pairs_total, classes,
-        shared)`` where ``invalidated`` lists, in sweep order, the
-        *representative* pairs the subsequent sweep will hand to a
-        solver (class members sharing a representative's verdict are
-        counted in ``shared``, not listed), ``live_fps`` is the full
-        referenced-fingerprint set (the prune survivor list), and
-        ``pairs_total`` counts every pair of the quadratic sweep
-        including pruned ones.  This is literally
-        :meth:`~repro.engine.reduction.SweepPlan.invalidated` of the
-        same plan the sweep executes, which is what keeps
-        ``preview == actual solver calls`` an invariant rather than a
-        coincidence."""
-        cache = ResultCache(self.cache_dir, analysis.app_name)
-        fingerprints = FingerprintContext(
-            analysis.schema, self.config, self.engine)
-        plan = plan_sweep(analysis, self.config, engine=self.engine,
-                          cache=cache, fingerprints=fingerprints)
-        return (plan.invalidated(), plan.live_fingerprints(),
-                len(plan.pairs), plan.classes, plan.shared)
-
     # -- re-verification ---------------------------------------------------
 
     def reverify(self, name: str, trigger: str = "forced",
@@ -266,17 +242,20 @@ class VerificationService:
                     obs.activate(tracer):
                 app = state.spec.build()
                 analysis = analyze_application(app)
-                (invalidated, live, pairs_total, classes,
-                 shared) = self.preview_invalidation(analysis)
                 report = run_pair_sweep(
                     analysis, self.config, engine=self.engine,
                     jobs=self.jobs, use_cache=True,
                     cache_dir=self.cache_dir,
                 )
+                # The plan the sweep executed: its solve route is this
+                # cycle's invalidation, its fingerprints the prune
+                # survivors.
+                plan = report.plan
+                invalidated = plan.invalidated()
                 # Prune *after* the sweep so the removal count is
                 # observable in the cycle stats and the metrics.
                 cache = ResultCache(self.cache_dir, analysis.app_name)
-                pruned = cache.prune(live)
+                pruned = cache.prune(plan.live_fingerprints())
                 cache.flush()
             trace_obj = {
                 "app": name,
@@ -305,9 +284,9 @@ class VerificationService:
                 stats = CycleStats(
                     app=name, trigger=trigger, files=tuple(files),
                     invalidated=tuple(invalidated),
-                    pairs_total=pairs_total,
+                    pairs_total=len(plan.pairs),
                     solver_calls=int(metrics.get("solver_calls", 0)),
-                    classes=classes,
+                    classes=plan.classes,
                     shared=int(metrics.get("shared", 0)),
                     cache_hits=int(metrics.get("cache_hits", 0)),
                     pruned_entries=pruned,

@@ -202,6 +202,11 @@ class VerificationReport:
     #: scheduler metrics (cache hits/misses, pruning counts, worker
     #: utilization, ...) when the sweep ran through ``repro.engine``
     metrics: dict = field(default_factory=dict)
+    #: the :class:`~repro.engine.reduction.SweepPlan` the scheduler
+    #: executed (never serialized), so a caller that needs the plan —
+    #: the service's invalidation and prune survivors — does not plan
+    #: the same sweep a second time
+    plan: object | None = field(default=None, repr=False, compare=False)
 
     @property
     def time_solve_s(self) -> float:

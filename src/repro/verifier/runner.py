@@ -22,6 +22,8 @@ pool on top of these primitives.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from ..obs import tracer as obs
 from ..soir.path import AnalysisResult, CodePath
 from ..soir.schema import Schema
@@ -49,6 +51,30 @@ def _new_verdict(p: CodePath, q: CodePath) -> PairVerdict:
     return PairVerdict(p.name, q.name, left_view=p.view, right_view=q.view)
 
 
+class PathFacts:
+    """The per-path inputs of the solver-free fast layers under one
+    schema: the models and relations the path touches and whether it uses
+    order primitives.  Each is derived on first use and then kept, so a
+    sweep plan that builds one per effectful path derives them once per
+    path instead of once per pair."""
+
+    def __init__(self, path: CodePath, schema: Schema):
+        self.path = path
+        self.schema = schema
+
+    @cached_property
+    def models(self) -> frozenset[str]:
+        return self.path.models_touched(self.schema)
+
+    @cached_property
+    def relations(self) -> frozenset[str]:
+        return self.path.relations_touched(self.schema)
+
+    @cached_property
+    def uses_order(self) -> bool:
+        return self.path.uses_order()
+
+
 def classify_pair(
     p: CodePath,
     q: CodePath,
@@ -61,7 +87,15 @@ def classify_pair(
     the pair, or ``None`` when the pair needs actual solving.  The
     sweep adds the finer column-level read/write layer on top
     (:func:`repro.engine.reduction.prune_pair`)."""
-    config = config or CheckConfig()
+    return classify_facts(PathFacts(p, schema), PathFacts(q, schema),
+                          config or CheckConfig())
+
+
+def classify_facts(
+    pf: PathFacts, qf: PathFacts, config: CheckConfig,
+) -> tuple[PairVerdict, str] | None:
+    """:func:`classify_pair` over precomputed :class:`PathFacts`."""
+    p, q = pf.path, qf.path
     if p.conservative or q.conservative:
         why = p.name if p.conservative else q.name
         verdict = _new_verdict(p, q)
@@ -71,10 +105,10 @@ def classify_pair(
                 detail=f"{why} analyzed conservatively",
             ))
         return verdict, PRUNE_CONSERVATIVE
-    if not config.order_enabled and (p.uses_order() or q.uses_order()):
+    if not config.order_enabled and (pf.uses_order or qf.uses_order):
         # Classic order-less array encoding: order-related semantics are
         # unverifiable, so the pair is restricted without solving.
-        why = p.name if p.uses_order() else q.name
+        why = p.name if pf.uses_order else q.name
         verdict = _new_verdict(p, q)
         for kind in ("commutativity", "semantic"):
             _attach(verdict, CheckResult(
@@ -82,10 +116,7 @@ def classify_pair(
                 detail=f"{why} uses order primitives (order encoding off)",
             ))
         return verdict, PRUNE_ORDER
-    if (
-        not (p.models_touched(schema) & q.models_touched(schema))
-        and not (p.relations_touched(schema) & q.relations_touched(schema))
-    ):
+    if not (pf.models & qf.models) and not (pf.relations & qf.relations):
         verdict = _new_verdict(p, q)
         for kind in ("commutativity", "semantic"):
             _attach(verdict, CheckResult(

@@ -424,6 +424,29 @@ class TestScheduler:
         # two workers started, at most two respawned: never a loop
         assert 2 + metrics["workers_respawned"] <= 2 * 2
 
+    def test_checkpoints_count_every_cached_put(self, tmp_path,
+                                                courseware_analysis):
+        """A representative's commit and a class member's share are both
+        cache puts, and each put runs the checkpoint test: a cold sweep
+        checkpoints ``puts // checkpoint_every`` times whether the pool
+        or the in-process lane completes the pairs."""
+        # 8 puts: a share that skipped the test would leave 3, not 4
+        every = 2
+        counts = []
+        for jobs in (1, 2):
+            cache_dir = tmp_path / f"jobs{jobs}"
+            report = run_pair_sweep(
+                courseware_analysis, CFG, jobs=jobs, use_cache=True,
+                cache_dir=str(cache_dir), checkpoint_every=every)
+            assert report.metrics["shared"] > 0
+            puts = len(ResultCache(str(cache_dir),
+                                   courseware_analysis.app_name))
+            assert puts == (report.metrics["solver_calls"]
+                            + report.metrics["shared"])
+            assert report.metrics["checkpoints"] == puts // every
+            counts.append(report.metrics["checkpoints"])
+        assert counts[0] == counts[1]
+
     @pytest.mark.parametrize("pooled", [False, True])
     def test_edited_path_invalidates_only_its_pairs(self, tmp_path,
                                                     smallbank_analysis,

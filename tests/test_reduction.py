@@ -26,6 +26,7 @@ from repro.engine import ResultCache, run_pair_sweep
 from repro.engine.cache import CACHE_FORMAT, _safe_name
 from repro.engine.fingerprint import FingerprintContext
 from repro.engine.reduction import (
+    ROUTE_CACHED,
     ROUTE_PRUNED,
     ROUTE_SHARED,
     ROUTE_SOLVE,
@@ -40,6 +41,12 @@ from repro.engine.reduction import (
 from repro.soir import CodePath, Schema, commands as C, expr as E, make_model
 from repro.soir.types import INT, STRING
 from repro.verifier import CheckConfig, verify_application, verify_pair
+from repro.verifier.restrictions import (
+    CheckResult,
+    Outcome,
+    PairVerdict,
+    verdict_to_obj,
+)
 from repro.verifier.runner import PRUNE_RW, classify_pair
 
 from helpers import blog_schema, reference_sweep, untimed
@@ -332,6 +339,104 @@ class TestPlanSweep:
         assert report.metrics["solver_calls"] == plan.solver_calls
         assert report.metrics["shared"] == plan.shared
         assert report.metrics["class_count"] == plan.classes
+
+
+def reference_plan(analysis, cache=None) -> list[dict]:
+    """The plan built pair by pair through the per-pair entry points
+    (``prune_pair``, ``FingerprintContext.pair``, ``canonical_pair``),
+    with the planner's class rule: the first cached or uncached member
+    of a class represents it, later members share."""
+    schema = analysis.schema
+    fingerprints = FingerprintContext(schema, CFG, "enum")
+    paths = analysis.effectful_paths
+    rows: list[dict] = []
+    reps: dict[str, tuple[int, dict]] = {}
+    for i, p in enumerate(paths):
+        for q in paths[i:]:
+            slot = len(rows)
+            classified = prune_pair(p, q, schema, CFG)
+            if classified is not None:
+                rows.append({"route": ROUTE_PRUNED, "tag": classified[1],
+                             "verdict": verdict_json(classified[0])})
+                continue
+            fp = fingerprints.pair(p, q)
+            key, maps = canonical_pair(p, q, schema)
+            row = {"fp": fp, "class_key": key}
+            hit = cache.get(fp) if cache is not None else None
+            if hit is not None:
+                row.update(route=ROUTE_CACHED, verdict=verdict_json(hit[0]),
+                           saved_s=hit[1])
+                reps.setdefault(key, (slot, maps))
+            elif key in reps:
+                rep_slot, rep_maps = reps[key]
+                row.update(route=ROUTE_SHARED, rep_slot=rep_slot,
+                           renaming=renaming_between(maps, rep_maps))
+            else:
+                reps[key] = (slot, maps)
+                row["route"] = ROUTE_SOLVE
+            rows.append(row)
+    return rows
+
+
+def verdict_json(verdict) -> str:
+    return json.dumps(verdict_to_obj(verdict), sort_keys=True)
+
+
+def plan_rows(plan) -> list[dict]:
+    """The same projection of a :class:`SweepPlan`."""
+    rows = []
+    for pp in plan.pairs:
+        row = {"route": pp.route}
+        if pp.route == ROUTE_PRUNED:
+            row.update(tag=pp.tag, verdict=verdict_json(pp.verdict))
+            rows.append(row)
+            continue
+        row.update(fp=pp.fp, class_key=pp.class_key)
+        if pp.route == ROUTE_CACHED:
+            row.update(verdict=verdict_json(pp.verdict), saved_s=pp.saved_s)
+        elif pp.route == ROUTE_SHARED:
+            row.update(rep_slot=pp.rep_slot, renaming=pp.renaming)
+        rows.append(row)
+    return rows
+
+
+class TestPlanIdentity:
+    """``plan_sweep`` derives per-path facts once per plan; the per-pair
+    entry points derive them per call.  Both must plan every pair
+    identically."""
+
+    @pytest.mark.parametrize("app", ["smallbank", "courseware", "todo",
+                                     "postgraduation"])
+    def test_plan_equals_per_pair_reference(self, app, tmp_path):
+        analysis = analyze_application(build_builtin(app))
+        fingerprints = FingerprintContext(analysis.schema, CFG, "enum")
+        plan = plan_sweep(analysis, CFG, fingerprints=fingerprints)
+        expected = reference_plan(analysis)
+        assert plan_rows(plan) == expected
+        assert [(pp.slot, pp.i, pp.j) for pp in plan.pairs] == [
+            (slot, i, j) for slot, (i, j) in enumerate(
+                (i, j) for i in range(len(analysis.effectful_paths))
+                for j in range(i, len(analysis.effectful_paths)))]
+        # todo forms no signature class of two; the other apps do
+        assert any(row["route"] == ROUTE_SHARED
+                   for row in expected) == (app != "todo")
+
+        # Warm half the representatives: cached pairs seed their class.
+        cache = ResultCache(str(tmp_path), analysis.app_name)
+        solved = [pp for pp in plan.pairs if pp.route == ROUTE_SOLVE]
+        for pp in solved[::2]:
+            verdict = PairVerdict(pp.left.name, pp.right.name)
+            for kind in ("commutativity", "semantic"):
+                setattr(verdict, kind, CheckResult(
+                    pp.left.name, pp.right.name, kind, Outcome.PASS,
+                    elapsed_s=0.5))
+            cache.put(pp.fp, verdict, class_key=pp.class_key)
+        warm = plan_sweep(analysis, CFG, cache=cache,
+                          fingerprints=FingerprintContext(
+                              analysis.schema, CFG, "enum"))
+        expected = reference_plan(analysis, cache)
+        assert plan_rows(warm) == expected
+        assert any(row["route"] == ROUTE_CACHED for row in expected)
 
 
 class TestReductionProperty:

@@ -212,6 +212,29 @@ class TestIncrementalInvalidation:
         # acceptance bar: warm work < 20% of the cold pair count
         assert stats.solver_calls < 0.20 * cold.stats.pairs_total
 
+    def test_one_cycle_plans_once(self, clone, monkeypatch):
+        """A cycle plans its sweep once: the invalidation is read from
+        the plan the sweep executed, not from a second planning pass."""
+        import repro.engine.reduction as reduction
+        import repro.engine.scheduler as scheduler
+        import repro.service.daemon as daemon
+
+        calls = []
+        original = reduction.plan_sweep
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (reduction, scheduler, daemon):
+            assert module.plan_sweep is original
+            monkeypatch.setattr(module, "plan_sweep", counting)
+        edit(clone.app_dir, PRIORITY_OLD, PRIORITY_NEW)
+        [stats] = clone.service.run_cycle()
+        assert len(calls) == 1
+        assert len(stats.invalidated) == 10
+        assert stats.solver_calls == len(stats.invalidated)
+
     def test_same_edit_yields_same_invalidated_set(self, cold, tmp_path):
         runs = []
         for i in range(2):
